@@ -8,23 +8,27 @@
 //! node." The paper records these in a bit array per connection (one bit
 //! per remote port).
 //!
-//! We keep the bit array as the paper's constant-time fast path —
-//! `bits[local_port][remote_node]` is a byte, one bit per remote port,
-//! meaning *something* is recorded — backed by small FIFO queues keyed by
-//! `(local port, sender endpoint, packet kind)`. The queues exist because
-//! the §8 value collectives break the paper's one-outstanding invariant:
-//! a broadcast root completes immediately and can race a second collective
-//! ahead, so a slow receiver may legitimately hold a BCAST *and* a PE
-//! message (or two BCASTs) from the same endpoint at once. For pure
-//! barrier traffic every queue stays at depth ≤ 1, preserving the paper's
-//! argument (the `queued_extra` counter proves it in tests).
+//! We keep the bit array as the paper's fast path, stored sparsely: one
+//! cell per `(local port, remote node)` that has something recorded, kept
+//! in a sorted vector and found by binary search. A cell holds a pending
+//! count per remote port; bit `p` of the paper's byte is "count `p` is
+//! nonzero". A NIC holds at most one record per peer it exchanges with (a
+//! PE barrier has log₂N), so the record costs O(peers), not O(cluster).
+//! Behind the cells sit FIFO queues keyed by `(local port, sender endpoint,
+//! team, packet kind)`, one flat sorted vector in which an empty queue
+//! simply has no entries. The queues exist because the §8 value
+//! collectives break the paper's one-outstanding invariant: a broadcast
+//! root completes immediately and can race a second collective ahead, so
+//! a slow receiver may legitimately hold a BCAST *and* a PE message (or
+//! two BCASTs) from the same endpoint at once. For pure barrier traffic
+//! every queue stays at depth ≤ 1, preserving the paper's argument (the
+//! `queued_extra` counter proves it in tests).
 //!
 //! Entries also carry the sender's port *epoch* (for the §3.2
 //! record-then-reject-on-open protocol) and an operand *value* (for
 //! reductions/broadcasts).
 
-use gmsim_gm::{GlobalPort, PortId, TeamId, GM_NUM_PORTS};
-use std::collections::{HashMap, VecDeque};
+use gmsim_gm::{GlobalPort, NodeId, PortId, TeamId, GM_NUM_PORTS};
 
 /// Data stored with one recorded message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,38 +65,68 @@ pub struct RecordStats {
     pub superseded: u64,
 }
 
+/// One `(local port, remote node)` cell of the paper's bit array, present
+/// only while something from that node awaits that port.
+#[derive(Debug, Clone)]
+struct Cell {
+    /// [`UnexpectedRecord::cell_key`] of the pair.
+    key: u64,
+    /// Records pending from each remote port of the node.
+    pending: [u32; GM_NUM_PORTS as usize],
+}
+
+/// `(local port, sender node, sender port, team, kind)`: one FIFO queue.
+/// The order puts every queue of a local port, and of one endpoint,
+/// next to each other.
+type QueueKey = (u8, u32, u8, TeamId, u8);
+
 /// The per-NIC unexpected-message record.
 #[derive(Debug, Clone)]
 pub struct UnexpectedRecord {
     nodes: usize,
-    /// `bits[local_port][remote_node]`: bit `p` set ⇔ something from
-    /// `(remote_node, p)` awaits `local_port` (the paper's byte per
-    /// connection).
-    bits: Vec<Vec<u8>>,
-    queues: HashMap<(u8, TeamId, GlobalPort, u8), VecDeque<RecordMeta>>,
+    /// The sparse bit array, sorted by key.
+    cells: Vec<Cell>,
+    /// Every recorded message, sorted by queue key and oldest first
+    /// within a key.
+    records: Vec<(QueueKey, RecordMeta)>,
     /// Counters.
     pub stats: RecordStats,
 }
 
 impl UnexpectedRecord {
-    /// A record for a cluster of `nodes` nodes.
+    /// A record for a cluster of `nodes` nodes. Allocates nothing until a
+    /// message is recorded.
     pub fn new(nodes: usize) -> Self {
         UnexpectedRecord {
             nodes,
-            bits: (0..GM_NUM_PORTS).map(|_| vec![0u8; nodes]).collect(),
-            queues: HashMap::new(),
+            cells: Vec::new(),
+            records: Vec::new(),
             stats: RecordStats::default(),
         }
     }
 
-    fn mask(from: GlobalPort) -> u8 {
-        1u8 << from.port.0
+    fn cell_key(local: PortId, node: NodeId) -> u64 {
+        (u64::from(local.0) << 32) | node.0 as u64
     }
 
-    fn any_queued(&self, local: PortId, from: GlobalPort) -> bool {
-        self.queues
+    fn queue_key(local: PortId, team: TeamId, from: GlobalPort, kind: u8) -> QueueKey {
+        let node = u32::try_from(from.node.0).expect("node id exceeds the record key range");
+        (local.0, node, from.port.0, team, kind)
+    }
+
+    fn find_cell(&self, local: PortId, node: NodeId) -> Result<usize, usize> {
+        let key = Self::cell_key(local, node);
+        self.cells.binary_search_by_key(&key, |c| c.key)
+    }
+
+    /// The records queued under `key`, as a range of `records`.
+    fn queue(&self, key: &QueueKey) -> std::ops::Range<usize> {
+        let lo = self.records.partition_point(|(k, _)| k < key);
+        let len = self.records[lo..]
             .iter()
-            .any(|((p, _, f, _), q)| *p == local.0 && *f == from && !q.is_empty())
+            .take_while(|(k, _)| k == key)
+            .count();
+        lo..lo + len
     }
 
     /// Record an unexpected message from `from` addressed to `local`.
@@ -101,27 +135,44 @@ impl UnexpectedRecord {
     /// endpoint and kind is discarded first (its sender is dead, §3.2).
     pub fn set(&mut self, local: PortId, from: GlobalPort, meta: RecordMeta) -> bool {
         debug_assert!(from.node.0 < self.nodes);
-        let fresh = !self.any_queued(local, from);
-        let q = self
-            .queues
-            .entry((local.0, meta.team, from, meta.kind))
-            .or_default();
+        let key = Self::queue_key(local, meta.team, from, meta.kind);
+        let range = self.queue(&key);
         // Epoch change supersedes everything the dead process left behind.
-        let before = q.len();
-        q.retain(|m| m.epoch == meta.epoch);
-        self.stats.superseded += (before - q.len()) as u64;
-        if !q.is_empty() {
+        let mut kept = range.start;
+        for i in range.clone() {
+            if self.records[i].1.epoch == meta.epoch {
+                self.records.swap(kept, i);
+                kept += 1;
+            }
+        }
+        let superseded = range.end - kept;
+        self.records.drain(kept..range.end);
+        self.stats.superseded += superseded as u64;
+        if kept > range.start {
             self.stats.queued_extra += 1;
         }
-        q.push_back(meta);
-        self.bits[local.idx()][from.node.0] |= Self::mask(from);
+        self.records.insert(kept, (key, meta));
         self.stats.recorded += 1;
+
+        let c = match self.find_cell(local, from.node) {
+            Ok(c) => c,
+            Err(c) => {
+                let key = Self::cell_key(local, from.node);
+                let pending = [0; GM_NUM_PORTS as usize];
+                self.cells.insert(c, Cell { key, pending });
+                c
+            }
+        };
+        let pending = &mut self.cells[c].pending[from.port.idx()];
+        let fresh = *pending == 0;
+        *pending = *pending - superseded as u32 + 1;
         fresh
     }
 
     /// Non-destructive test: has `from` already sent something to `local`?
     pub fn peek(&self, local: PortId, from: GlobalPort) -> bool {
-        self.bits[local.idx()][from.node.0] & Self::mask(from) != 0
+        self.find_cell(local, from.node)
+            .is_ok_and(|c| self.cells[c].pending[from.port.idx()] != 0)
     }
 
     /// "After a bit is checked, the bit is cleared" (§4.3): consume the
@@ -136,47 +187,48 @@ impl UnexpectedRecord {
         from: GlobalPort,
         expect_kind: u8,
     ) -> Option<RecordMeta> {
-        if self.bits[local.idx()][from.node.0] & Self::mask(from) == 0 {
+        let c = self.find_cell(local, from.node).ok()?;
+        if self.cells[c].pending[from.port.idx()] == 0 {
             return None;
         }
-        let meta = self
-            .queues
-            .get_mut(&(local.0, team, from, expect_kind))
-            .and_then(|q| q.pop_front())?;
+        let key = Self::queue_key(local, team, from, expect_kind);
+        let i = self.records.partition_point(|(k, _)| *k < key);
+        if self.records.get(i).is_none_or(|(k, _)| *k != key) {
+            return None;
+        }
+        let (_, meta) = self.records.remove(i);
         self.stats.consumed += 1;
-        if !self.any_queued(local, from) {
-            self.bits[local.idx()][from.node.0] &= !Self::mask(from);
+        let cell = &mut self.cells[c];
+        cell.pending[from.port.idx()] -= 1;
+        if cell.pending.iter().all(|&n| n == 0) {
+            self.cells.remove(c);
         }
         Some(meta)
     }
 
     /// Drain every record addressed to `local` (port-open rejection, §3.2),
-    /// oldest first per (team, endpoint, kind).
+    /// ordered by sender endpoint, team and kind, oldest first within each.
     pub fn drain_port(&mut self, local: PortId) -> Vec<(GlobalPort, RecordMeta)> {
-        let mut out = Vec::new();
-        let keys: Vec<(u8, TeamId, GlobalPort, u8)> = self
-            .queues
-            .keys()
-            .filter(|(p, _, _, _)| *p == local.0)
-            .copied()
+        let lo = self.records.partition_point(|(k, _)| k.0 < local.0);
+        let hi = self.records.partition_point(|(k, _)| k.0 <= local.0);
+        let out = self
+            .records
+            .drain(lo..hi)
+            .map(|((_, node, port, _, _), meta)| (GlobalPort::new(node as usize, port), meta))
             .collect();
-        for key in keys {
-            if let Some(q) = self.queues.remove(&key) {
-                for meta in q {
-                    out.push((key.2, meta));
-                }
-            }
-        }
-        out.sort_by_key(|(g, m)| (g.node, g.port, m.team, m.kind));
-        for cell in self.bits[local.idx()].iter_mut() {
-            *cell = 0;
-        }
+        self.cells.retain(|c| c.key >> 32 != u64::from(local.0));
         out
     }
 
     /// Total records currently held (diagnostics).
     pub fn outstanding(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.records.len()
+    }
+
+    /// `(local port, remote node)` cells currently allocated — at most one
+    /// per peer that has a record pending, never one per cluster node.
+    pub fn cells(&self) -> usize {
+        self.cells.len()
     }
 }
 
@@ -334,7 +386,7 @@ mod tests {
             value: 9,
             seg: 0,
         };
-        r.set(PortId(1), gp(1, 1), newer);
+        assert!(!r.set(PortId(1), gp(1, 1), newer), "endpoint was recorded");
         assert_eq!(r.stats.superseded, 1);
         assert_eq!(
             r.check_clear(PortId(1), TeamId::GLOBAL, gp(1, 1), 1),
@@ -343,6 +395,25 @@ mod tests {
         assert!(r
             .check_clear(PortId(1), TeamId::GLOBAL, gp(1, 1), 1)
             .is_none());
+        // The superseded record no longer counts as pending.
+        assert!(!r.peek(PortId(1), gp(1, 1)));
+        assert_eq!(r.cells(), 0);
+    }
+
+    #[test]
+    fn cells_exist_only_while_something_is_pending() {
+        let mut r = UnexpectedRecord::new(1 << 20);
+        assert_eq!(r.cells(), 0);
+        r.set(PortId(1), gp(999_999, 1), META);
+        r.set(PortId(1), gp(999_999, 2), META);
+        r.set(PortId(2), gp(7, 1), META);
+        assert_eq!(r.cells(), 2, "one cell per (local port, remote node)");
+        r.check_clear(PortId(1), TeamId::GLOBAL, gp(999_999, 1), 1);
+        assert_eq!(r.cells(), 2, "port 2 of node 999999 still pending");
+        r.check_clear(PortId(1), TeamId::GLOBAL, gp(999_999, 2), 1);
+        assert_eq!(r.cells(), 1);
+        r.drain_port(PortId(2));
+        assert_eq!((r.cells(), r.outstanding()), (0, 0));
     }
 
     #[test]

@@ -215,7 +215,10 @@ fn record_matches_reference_model() {
                         value,
                         seg: 0,
                     };
-                    real.set(PortId(port), from, meta);
+                    let fresh = !model
+                        .iter()
+                        .any(|((p, f, _), q)| *p == port && *f == from && !q.is_empty());
+                    assert_eq!(real.set(PortId(port), from, meta), fresh);
                     model.entry((port, from, kind)).or_default().push(meta);
                 }
                 RecOp::CheckClear {
@@ -255,6 +258,15 @@ fn record_matches_reference_model() {
             }
             let model_total: usize = model.values().map(Vec::len).sum();
             assert_eq!(real.outstanding(), model_total);
+            // One bit-array cell per (local port, node) with anything left.
+            let mut cells: Vec<(u8, usize)> = model
+                .iter()
+                .filter(|(_, q)| !q.is_empty())
+                .map(|((p, g, _), _)| (*p, g.node.0))
+                .collect();
+            cells.sort_unstable();
+            cells.dedup();
+            assert_eq!(real.cells(), cells.len());
         }
     });
 }

@@ -34,6 +34,7 @@ use crate::port::{new_port_table, PortState};
 use gmsim_des::trace::{ComponentId, TracePayload, Tracer, Unit};
 use gmsim_des::SimTime;
 use gmsim_lanai::NicHardware;
+use std::borrow::Cow;
 
 /// An effect the firmware wants the outside world to apply.
 #[derive(Debug)]
@@ -112,15 +113,61 @@ pub struct McpStats {
     pub gave_up: u64,
 }
 
+/// The NIC's reliable connections, created on first contact with a peer
+/// and kept sorted by peer. A PE barrier touches log₂N peers, so memory is
+/// O(peers used) per NIC instead of O(cluster size). Peers are searched in
+/// a separate array of compact keys, which stays a few cache lines long.
+#[derive(Debug, Default)]
+struct ConnectionTable {
+    /// Peer node ids, ascending.
+    peers: Vec<u32>,
+    /// `conns[i]` is the connection to `peers[i]`.
+    conns: Vec<Connection>,
+}
+
+impl ConnectionTable {
+    fn key(peer: NodeId) -> u32 {
+        u32::try_from(peer.0).expect("node id exceeds the connection key range")
+    }
+
+    fn get(&self, peer: NodeId) -> Option<&Connection> {
+        let i = self.peers.binary_search(&Self::key(peer)).ok()?;
+        Some(&self.conns[i])
+    }
+
+    /// Index of the connection to `peer`, creating it on first contact.
+    /// Valid until the next call creates another connection.
+    fn slot(&mut self, peer: NodeId) -> usize {
+        let key = Self::key(peer);
+        match self.peers.binary_search(&key) {
+            Ok(i) => i,
+            Err(i) => {
+                self.peers.insert(i, key);
+                self.conns.insert(i, Connection::new(peer));
+                i
+            }
+        }
+    }
+
+    fn at(&self, slot: usize) -> &Connection {
+        &self.conns[slot]
+    }
+
+    fn at_mut(&mut self, slot: usize) -> &mut Connection {
+        &mut self.conns[slot]
+    }
+}
+
 /// Everything the MCP knows except the extension itself. Extensions receive
 /// `&mut McpCore`, so the split avoids a double borrow.
 pub struct McpCore {
     node: NodeId,
+    cluster_size: usize,
     config: GmConfig,
     /// The NIC hardware this firmware runs on.
     pub hw: NicHardware,
     ports: Vec<PortState>,
-    conns: Vec<Connection>,
+    conns: ConnectionTable,
     /// Counters.
     pub stats: McpStats,
     /// Reusable buffer for acked-entry draining (ack hot path).
@@ -133,12 +180,11 @@ impl McpCore {
     pub fn new(node: NodeId, cluster_size: usize, config: GmConfig) -> Self {
         McpCore {
             node,
+            cluster_size,
             config,
             hw: NicHardware::new(config.nic),
             ports: new_port_table(),
-            conns: (0..cluster_size)
-                .map(|p| Connection::new(NodeId(p)))
-                .collect(),
+            conns: ConnectionTable::default(),
             stats: McpStats::default(),
             acked_scratch: Vec::new(),
             tracer: Tracer::disabled(),
@@ -176,7 +222,7 @@ impl McpCore {
 
     /// Number of nodes in the cluster.
     pub fn cluster_size(&self) -> usize {
-        self.conns.len()
+        self.cluster_size
     }
 
     /// Port table entry.
@@ -189,27 +235,37 @@ impl McpCore {
         &mut self.ports[p.idx()]
     }
 
-    /// Connection to a peer NIC.
-    pub fn conn(&self, peer: NodeId) -> &Connection {
-        &self.conns[peer.0]
+    /// Connection to a peer NIC. A peer never contacted reads as a fresh
+    /// connection, built on the spot without allocating or being stored.
+    pub fn conn(&self, peer: NodeId) -> Cow<'_, Connection> {
+        match self.conns.get(peer) {
+            Some(c) => Cow::Borrowed(c),
+            None => Cow::Owned(Connection::new(peer)),
+        }
     }
 
-    /// Mutable connection to a peer NIC.
+    /// Mutable connection to a peer NIC, created on first contact.
     pub fn conn_mut(&mut self, peer: NodeId) -> &mut Connection {
-        &mut self.conns[peer.0]
+        let slot = self.conns.slot(peer);
+        self.conns.at_mut(slot)
     }
 
-    /// All connections (post-run health inspection: the testbed scans for
-    /// dead peers to surface `PeerUnreachable` as a typed error).
+    /// Every connection this NIC has opened, in ascending peer order
+    /// (post-run health inspection: the testbed scans for dead peers to
+    /// surface `PeerUnreachable` as a typed error).
     pub fn connections(&self) -> impl Iterator<Item = &Connection> {
-        self.conns.iter()
+        self.conns.conns.iter()
     }
 
     /// Current RTO for the connection to `peer`: the base timeout doubled
     /// (`rto_backoff`×) per consecutive genuine timeout, capped at
     /// `rto_max`.
     pub fn rto_for(&self, peer: NodeId) -> SimTime {
-        let level = self.conn(peer).backoff_level();
+        let level = self.conns.get(peer).map_or(0, Connection::backoff_level);
+        self.rto_at_level(level)
+    }
+
+    fn rto_at_level(&self, level: u32) -> SimTime {
         let base = self.config.retransmit_timeout.as_ns();
         let cap = self.config.rto_max.as_ns();
         let mult = self.config.rto_backoff.max(1) as u64;
@@ -234,7 +290,7 @@ impl McpCore {
     /// means the timer re-arms early for free; a genuine loss still stalls
     /// the ack stream and expires.
     fn grace_per_byte_ns(&self) -> f64 {
-        let bisection = (self.conns.len() as f64 / 2.0).max(1.0);
+        let bisection = (self.cluster_size as f64 / 2.0).max(1.0);
         let wire = gmsim_myrinet::LinkSpec::MYRINET_1280;
         2.0 * bisection / wire.bytes_per_ns
     }
@@ -249,7 +305,14 @@ impl McpCore {
     /// stall (a retransmission storm). Zero-payload barrier traffic adds
     /// zero grace, leaving the calibrated base RTO in charge.
     pub fn ack_grace(&self, peer: NodeId) -> SimTime {
-        let bytes = self.conn(peer).unacked_payload_bytes();
+        let bytes = self
+            .conns
+            .get(peer)
+            .map_or(0, Connection::unacked_payload_bytes);
+        self.grace_for_bytes(bytes)
+    }
+
+    fn grace_for_bytes(&self, bytes: u64) -> SimTime {
         if bytes == 0 {
             return SimTime::ZERO;
         }
@@ -261,30 +324,34 @@ impl McpCore {
     /// share this NIC's egress link, so a burst of sends (e.g. the tail
     /// rounds of a scan, which receive nothing between sends) delays the
     /// oldest ACK by the full backlog, not just this connection's share.
-    /// Only the lazy timer-expiry path pays the O(connections) scan; timer
-    /// arming uses the cheap per-connection grace, and an early fire
+    /// Only the lazy timer-expiry path pays the scan, which covers the
+    /// peers this NIC has contacted (log₂N under PE), not the cluster;
+    /// timer arming uses the cheap per-connection grace, and an early fire
     /// re-arms at the live deadline for free.
     pub fn ack_grace_total(&self) -> SimTime {
-        let bytes: u64 = self.conns.iter().map(|c| c.unacked_payload_bytes()).sum();
-        if bytes == 0 {
-            return SimTime::ZERO;
-        }
-        SimTime::from_ns((bytes as f64 * self.grace_per_byte_ns()).ceil() as u64)
+        let bytes = self
+            .connections()
+            .map(Connection::unacked_payload_bytes)
+            .sum();
+        self.grace_for_bytes(bytes)
     }
 
-    /// Arm the connection's single RTO timer if it is not already pending
-    /// (and the connection has not given up). The deadline tracks the
-    /// oldest unacknowledged packet.
-    pub(crate) fn arm_rto_timer(&mut self, peer: NodeId, out: &mut Vec<McpOutput>) {
-        let conn = self.conn(peer);
+    /// Arm the RTO timer of the connection in `slot` if it is not already
+    /// pending (and the connection has not given up). The deadline tracks
+    /// the oldest unacknowledged packet.
+    fn arm_rto_timer(&mut self, slot: usize, out: &mut Vec<McpOutput>) {
+        let conn = self.conns.at(slot);
         if conn.timer_armed() || conn.is_dead() {
             return;
         }
         let Some(oldest) = conn.oldest_unacked() else {
             return;
         };
-        let deadline = oldest.sent_at + self.rto_for(peer) + self.ack_grace(peer);
-        self.conn_mut(peer).set_timer_armed(true);
+        let deadline = oldest.sent_at
+            + self.rto_at_level(conn.backoff_level())
+            + self.grace_for_bytes(conn.unacked_payload_bytes());
+        let peer = conn.peer();
+        self.conns.at_mut(slot).set_timer_armed(true);
         out.push(McpOutput::Timer {
             at: deadline,
             kind: TimerKind::Rto { peer },
@@ -310,10 +377,10 @@ impl McpCore {
     ) {
         let send_cycles = self.config.nic.costs.send_cycles;
         let at = self.exec(send_cycles, ready);
-        let peer = pkt.dst.node;
         debug_assert!(pkt.seq().is_some(), "reliable packet without seq");
-        self.conn_mut(peer).record_sent(pkt, at);
-        self.arm_rto_timer(peer, out);
+        let slot = self.conns.slot(pkt.dst.node);
+        self.conns.at_mut(slot).record_sent(pkt, at);
+        self.arm_rto_timer(slot, out);
         out.push(McpOutput::Transmit { at, pkt });
     }
 
@@ -465,11 +532,13 @@ impl Mcp {
     pub fn handle_timer_into(&mut self, kind: TimerKind, now: SimTime, out: &mut Vec<McpOutput>) {
         match kind {
             TimerKind::Rto { peer } => {
-                self.core.conn_mut(peer).set_timer_armed(false);
-                if self.core.conn(peer).is_dead() {
+                let slot = self.core.conns.slot(peer);
+                let conn = self.core.conns.at_mut(slot);
+                conn.set_timer_armed(false);
+                if conn.is_dead() {
                     return;
                 }
-                let Some(oldest) = self.core.conn(peer).oldest_unacked().copied() else {
+                let Some(oldest) = conn.oldest_unacked().copied() else {
                     // Everything acked since arming: a free cancel.
                     self.core.stats.timer_cancels += 1;
                     return;
@@ -479,25 +548,26 @@ impl Mcp {
                 // slows the ack stream without stopping it, so each arrival
                 // restarts the clock (RFC 6298 style). A real loss stalls
                 // acks entirely and still expires one RTO later.
-                let anchor = oldest
-                    .sent_at
-                    .max(self.core.conn(peer).last_peer_activity());
-                let deadline = anchor + self.core.rto_for(peer) + self.core.ack_grace_total();
+                let anchor = oldest.sent_at.max(conn.last_peer_activity());
+                let level = conn.backoff_level();
+                let rto = self.core.rto_at_level(level);
+                let deadline = anchor + rto + self.core.ack_grace_total();
                 if now < deadline {
                     // Progress since arming: re-arm at the real deadline.
                     self.core.stats.timer_cancels += 1;
-                    self.core.conn_mut(peer).set_timer_armed(true);
+                    self.core.conns.at_mut(slot).set_timer_armed(true);
                     out.push(McpOutput::Timer { at: deadline, kind });
                     return;
                 }
-                self.core.conn_mut(peer).note_timeout_attempt();
-                if self.core.conn(peer).attempts() > self.core.config.retransmit_budget {
-                    self.give_up(peer, now, out);
+                let conn = self.core.conns.at_mut(slot);
+                conn.note_timeout_attempt();
+                if conn.attempts() > self.core.config.retransmit_budget {
+                    self.give_up(slot, now, out);
                     return;
                 }
                 self.core.stats.rto_backoffs += 1;
                 let from = oldest.packet.seq().unwrap();
-                let again = self.core.conn_mut(peer).on_nack(from, now);
+                let again = self.core.conns.at_mut(slot).on_nack(from, now);
                 self.core.stats.retx += again.len() as u64;
                 self.core.trace(
                     now,
@@ -513,7 +583,8 @@ impl Mcp {
                     // Refresh the connection's record of when this packet
                     // went out so the next deadline computation is live.
                     self.core
-                        .conn_mut(peer)
+                        .conns
+                        .at_mut(slot)
                         .refresh_sent_at(pkt.seq().unwrap(), at);
                     self.core.trace(
                         at,
@@ -526,19 +597,23 @@ impl Mcp {
                     last_at = at;
                 }
                 // One timer, re-armed with the backed-off RTO.
-                self.core.conn_mut(peer).set_timer_armed(true);
+                let conn = self.core.conns.at_mut(slot);
+                conn.set_timer_armed(true);
+                let level = conn.backoff_level();
                 out.push(McpOutput::Timer {
-                    at: last_at + self.core.rto_for(peer),
+                    at: last_at + self.core.rto_at_level(level),
                     kind,
                 });
             }
         }
     }
 
-    /// Retransmit budget exhausted: kill the connection, reclaim the send
-    /// tokens of abandoned data packets, and deliver `PeerUnreachable` to
-    /// each distinct open port that had traffic in flight to `peer`.
-    fn give_up(&mut self, peer: NodeId, now: SimTime, out: &mut Vec<McpOutput>) {
+    /// Retransmit budget exhausted: kill the connection in `slot`, reclaim
+    /// the send tokens of abandoned data packets, and deliver
+    /// `PeerUnreachable` to each distinct open port that had traffic in
+    /// flight to its peer.
+    fn give_up(&mut self, slot: usize, now: SimTime, out: &mut Vec<McpOutput>) {
+        let peer = self.core.conns.at(slot).peer();
         self.core.stats.gave_up += 1;
         self.core.trace(
             now,
@@ -547,7 +622,7 @@ impl Mcp {
                 peer: peer.0 as u32,
             },
         );
-        let abandoned = self.core.conn_mut(peer).mark_dead();
+        let abandoned = self.core.conns.at_mut(slot).mark_dead();
         let mut notified: Vec<PortId> = Vec::new();
         for entry in abandoned {
             let port = entry.packet.src.port;

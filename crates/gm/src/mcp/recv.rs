@@ -30,7 +30,8 @@ impl Mcp {
     }
 
     /// [`Mcp::handle_wire_packet`] appending into a caller-owned buffer
-    /// (hot path).
+    /// (hot path). The sender's connection is looked up once per intact
+    /// packet, and created if this is the sender's first contact.
     pub fn handle_wire_packet_into(
         &mut self,
         pkt: Packet,
@@ -48,12 +49,11 @@ impl Mcp {
                 }
                 // Any intact ack proves the peer is alive: reset the
                 // backoff/budget clock and restart the RTO anchor.
-                self.core.conn_mut(pkt.src.node).reset_liveness();
-                self.core.conn_mut(pkt.src.node).note_peer_activity(t);
                 let mut acked = std::mem::take(&mut self.core.acked_scratch);
-                self.core
-                    .conn_mut(pkt.src.node)
-                    .drain_acked_into(ack, &mut acked);
+                let conn = self.core.conn_mut(pkt.src.node);
+                conn.reset_liveness();
+                conn.note_peer_activity(t);
+                conn.drain_acked_into(ack, &mut acked);
                 for entry in acked.drain(..) {
                     if let PacketKind::Data { tag, notify, .. } = entry.packet.kind {
                         // The send event's resources are free: the send
@@ -74,11 +74,13 @@ impl Mcp {
                     self.core.stats.crc_drops += 1;
                     return;
                 }
-                self.core.conn_mut(pkt.src.node).reset_liveness();
-                self.core.conn_mut(pkt.src.node).note_peer_activity(t);
-                let again = self.core.conn_mut(pkt.src.node).on_nack(expected, t);
+                let slot = self.core.conns.slot(pkt.src.node);
+                let conn = self.core.conns.at_mut(slot);
+                conn.reset_liveness();
+                conn.note_peer_activity(t);
+                let again = conn.on_nack(expected, t);
                 self.core.stats.retx += again.len() as u64;
-                self.retransmit(pkt.src.node, again, t, out);
+                self.retransmit(slot, again, t, out);
             }
             PacketKind::Data { seq, len, tag, .. } => {
                 let t = self.core.exec(costs.recv_cycles, now);
@@ -86,10 +88,11 @@ impl Mcp {
                     self.core.stats.crc_drops += 1;
                     return;
                 }
-                match self.core.conn(pkt.src.node).peek_rx(seq) {
+                let slot = self.core.conns.slot(pkt.src.node);
+                match self.core.conns.at(slot).peek_rx(seq) {
                     RxVerdict::Duplicate => {
                         self.core.stats.dup_drops += 1;
-                        self.send_ack(pkt.src.node, t, out);
+                        self.send_ack(slot, t, out);
                     }
                     RxVerdict::OutOfOrder { expected } => {
                         self.send_nack(pkt.src.node, expected, t, out);
@@ -105,8 +108,8 @@ impl Mcp {
                             self.send_nack(pkt.src.node, seq, t, out);
                             return;
                         }
-                        self.core.conn_mut(pkt.src.node).advance_rx();
-                        self.send_ack(pkt.src.node, t, out);
+                        self.core.conns.at_mut(slot).advance_rx();
+                        self.send_ack(slot, t, out);
                         self.core.stats.data_delivered += 1;
                         self.core.complete_to_host(
                             pkt.dst.port,
@@ -128,21 +131,30 @@ impl Mcp {
                     return;
                 }
                 match seq {
-                    Some(seq) => match self.core.conn(pkt.src.node).peek_rx(seq) {
-                        RxVerdict::Duplicate => {
-                            self.core.stats.dup_drops += 1;
-                            self.send_ack(pkt.src.node, t, out);
+                    Some(seq) => {
+                        let slot = self.core.conns.slot(pkt.src.node);
+                        match self.core.conns.at(slot).peek_rx(seq) {
+                            RxVerdict::Duplicate => {
+                                self.core.stats.dup_drops += 1;
+                                self.send_ack(slot, t, out);
+                            }
+                            RxVerdict::OutOfOrder { expected } => {
+                                self.send_nack(pkt.src.node, expected, t, out);
+                            }
+                            RxVerdict::Accept => {
+                                self.core.conns.at_mut(slot).advance_rx();
+                                self.send_ack(slot, t, out);
+                                self.ext.on_ext_packet(
+                                    &mut self.core,
+                                    pkt.src,
+                                    pkt.dst,
+                                    body,
+                                    t,
+                                    out,
+                                );
+                            }
                         }
-                        RxVerdict::OutOfOrder { expected } => {
-                            self.send_nack(pkt.src.node, expected, t, out);
-                        }
-                        RxVerdict::Accept => {
-                            self.core.conn_mut(pkt.src.node).advance_rx();
-                            self.send_ack(pkt.src.node, t, out);
-                            self.ext
-                                .on_ext_packet(&mut self.core, pkt.src, pkt.dst, body, t, out);
-                        }
-                    },
+                    }
                     None => {
                         // Unreliable collective packet: straight to the
                         // extension (the paper's prototype path).
@@ -154,22 +166,23 @@ impl Mcp {
         }
     }
 
-    /// Go-back-N retransmission after a nack. Arms no timers: whenever a
-    /// connection has traffic in flight its single RTO timer is already
-    /// pending, and its lazy deadline check picks up the refreshed
-    /// `sent_at` values on expiry.
+    /// Go-back-N retransmission after a nack on the connection in `slot`.
+    /// Arms no timers: whenever a connection has traffic in flight its
+    /// single RTO timer is already pending, and its lazy deadline check
+    /// picks up the refreshed `sent_at` values on expiry.
     fn retransmit(
         &mut self,
-        peer: NodeId,
+        slot: usize,
         pkts: Vec<Packet>,
         ready: SimTime,
         out: &mut Vec<McpOutput>,
     ) {
         let costs = self.core.config().nic.costs;
+        let peer = self.core.conns.at(slot).peer();
         for pkt in pkts {
             let at = self.core.exec(costs.send_cycles, ready);
             let seq = pkt.seq().unwrap();
-            self.core.conn_mut(peer).refresh_sent_at(seq, at);
+            self.core.conns.at_mut(slot).refresh_sent_at(seq, at);
             self.core.trace(
                 at,
                 Unit::Send,
@@ -181,10 +194,12 @@ impl Mcp {
         }
     }
 
-    fn send_ack(&mut self, peer: NodeId, ready: SimTime, out: &mut Vec<McpOutput>) {
+    /// Cumulative ack on the connection in `slot`.
+    fn send_ack(&mut self, slot: usize, ready: SimTime, out: &mut Vec<McpOutput>) {
         let costs = self.core.config().nic.costs;
         let t = self.core.exec(costs.ack_tx_cycles, ready);
-        let ack = self.core.conn(peer).ack_value();
+        let conn = self.core.conns.at(slot);
+        let (peer, ack) = (conn.peer(), conn.ack_value());
         self.core.stats.ack_tx += 1;
         let pkt = Packet {
             src: GlobalPort {

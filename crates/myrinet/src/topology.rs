@@ -8,10 +8,13 @@
 //! ([`TopologyBuilder::clos_oversub`]), and k-ary fat trees
 //! ([`TopologyBuilder::fat_tree`]).
 //!
-//! Routes (shortest paths, BFS with deterministic tie-breaking by vertex
-//! index) are computed once at `build()`. Fabrics with multiple equal-cost
-//! paths additionally carry a [`RoutePolicy`]: static BFS routes, Myrinet
-//! style `(src + dst)` dispersal, or adaptive least-loaded uplink selection
+//! Generic builds store all-pairs shortest paths (BFS with deterministic
+//! tie-breaking by vertex index), computed once at `build()`. The Clos and
+//! fat-tree builders lay links out in a fixed order and compute each route
+//! from that layout on demand instead, so their setup and memory stay
+//! linear in the host count. Fabrics with multiple equal-cost paths
+//! additionally carry a [`RoutePolicy`]: static BFS routes, Myrinet style
+//! `(src + dst)` dispersal, or adaptive least-loaded uplink selection
 //! driven by the contention model's per-link busy horizons.
 
 use crate::packet::wire_size;
@@ -55,14 +58,18 @@ pub struct DirectedLink {
 
 /// How NIC-to-NIC routes are stored or derived.
 ///
-/// Up to two Clos levels (≤1024 hosts) the all-pairs table is materialised
-/// (`Dense`); a three-level Clos at 4096 hosts would need ~17M boxed routes
-/// (gigabytes), so its routes are *computed* from the regular link-id layout
-/// the [`TopologyBuilder::clos3`] builder lays down.
+/// Only generic [`TopologyBuilder::build`] fabrics (one crossbar, switch
+/// chains, and three-level fabrics under [`RoutePolicy::StaticBfs`]) store
+/// the all-pairs table (`Dense`). Two- and three-level Clos fabrics
+/// *compute* each route from the regular link-id layout their builder lays
+/// down: an all-pairs table is quadratic in the host count (1M boxed routes
+/// at 1024 hosts, ~17M at 4096).
 #[derive(Debug, Clone)]
 enum RouteTable {
     /// `routes[src * nics + dst]`; the self route is empty.
     Dense(Vec<Route>),
+    /// Routes derived on demand from the two-level Clos layout.
+    Clos2(Clos2Spec),
     /// Routes derived on demand from the three-level Clos layout.
     Clos3(Clos3Spec),
 }
@@ -207,9 +214,9 @@ pub enum RoutePolicy {
     Adaptive,
 }
 
-/// Link-id layout of a two-level [`TopologyBuilder::clos`] fabric, used by
-/// [`RoutePolicy::Adaptive`] to enumerate the candidate spine uplinks of a
-/// pair without consulting the stored route table.
+/// Link-id layout of a two-level [`TopologyBuilder::clos`] fabric, from
+/// which any route is computed without a stored table. See `clos_links`
+/// for the construction order the formulas mirror.
 #[derive(Debug, Clone, Copy)]
 struct Clos2Spec {
     hosts_per_leaf: usize,
@@ -217,6 +224,11 @@ struct Clos2Spec {
     /// First link id of the NIC↔leaf cables (the leaf↔spine cables come
     /// first in construction order).
     base_nic: usize,
+    /// Spread cross-leaf pairs over the spines by `(src + dst) % spines`.
+    /// Otherwise every pair crosses spine 0: the path a BFS over this
+    /// layout finds first, since each leaf lists its spine uplinks in
+    /// spine order.
+    disperse: bool,
 }
 
 impl Clos2Spec {
@@ -234,6 +246,25 @@ impl Clos2Spec {
 
     fn spine_to_leaf(&self, leaf: usize, spine: usize) -> LinkId {
         LinkId(2 * (leaf * self.spines + spine) + 1)
+    }
+
+    /// Append the static (dispersed or BFS) route for `src → dst` to `out`.
+    fn route_into(&self, src: usize, dst: usize, out: &mut Vec<LinkId>) {
+        if src == dst {
+            return;
+        }
+        let (ls, ld) = (src / self.hosts_per_leaf, dst / self.hosts_per_leaf);
+        out.push(self.nic_up(src));
+        if ls != ld {
+            let spine = if self.disperse {
+                (src + dst) % self.spines
+            } else {
+                0
+            };
+            out.push(self.leaf_to_spine(ls, spine));
+            out.push(self.spine_to_leaf(ld, spine));
+        }
+        out.push(self.nic_down(dst));
     }
 
     /// Append the adaptive route for `src → dst`: the spine whose
@@ -480,6 +511,7 @@ impl Topology {
             RouteTable::Dense(routes) => {
                 out.extend_from_slice(routes[src.0 * self.nics + dst.0].links());
             }
+            RouteTable::Clos2(spec) => spec.route_into(src.0, dst.0, out),
             RouteTable::Clos3(spec) => spec.route_into(src.0, dst.0, out),
         }
     }
@@ -549,7 +581,7 @@ impl Topology {
                 true
             }
             // Every pair has a formula route by construction.
-            RouteTable::Clos3(_) => true,
+            RouteTable::Clos2(_) | RouteTable::Clos3(_) => true,
         }
     }
 
@@ -645,13 +677,12 @@ impl Topology {
                 }
                 min
             }
-            RouteTable::Clos3(spec) => {
-                // Same-leaf is minimal: longer routes add the same NIC links
-                // plus extra (uniform-spec) hops and fall-throughs.
-                let mut links = Vec::new();
-                spec.route_into(0, 1, &mut links);
-                Some(self.delivery_latency(&links, 0))
-            }
+            // NICs 0 and 1 share a leaf whenever any two do, and that pair
+            // is minimal: longer routes add the same NIC links plus extra
+            // (uniform-spec) hops and fall-throughs. Without a second NIC
+            // there is no pair at all.
+            RouteTable::Clos2(_) | RouteTable::Clos3(_) => (self.nics >= 2)
+                .then(|| self.delivery_latency(self.route(NicId(0), NicId(1)).links(), 0)),
         }
     }
 }
@@ -889,13 +920,37 @@ impl TopologyBuilder {
         Self::clos_policy(leaves, hosts_per_leaf, spines, RoutePolicy::Dispersed)
     }
 
-    /// [`TopologyBuilder::clos`] with an explicit [`RoutePolicy`].
+    /// [`TopologyBuilder::clos`] with an explicit [`RoutePolicy`]. Routes
+    /// are computed from the link layout, never stored: `StaticBfs` takes
+    /// the path a BFS would (spine 0 for every cross-leaf pair), the other
+    /// policies disperse by `(src + dst) % spines`.
     pub fn clos_policy(
         leaves: usize,
         hosts_per_leaf: usize,
         spines: usize,
         policy: RoutePolicy,
     ) -> Topology {
+        let b = Self::clos_links(leaves, hosts_per_leaf, spines);
+        let spec = Clos2Spec {
+            hosts_per_leaf,
+            spines,
+            base_nic: 2 * leaves * spines,
+            disperse: policy != RoutePolicy::StaticBfs,
+        };
+        Topology {
+            nics: b.nics,
+            switch_latency: b.switch_latency,
+            links: b.links,
+            table: RouteTable::Clos2(spec),
+            policy,
+            adaptive: (policy == RoutePolicy::Adaptive).then_some(AdaptiveSpec::Clos2(spec)),
+        }
+    }
+
+    /// The cabling of a two-level Clos, in the order `Clos2Spec` mirrors:
+    /// leaf switches, then spines; every leaf↔spine cable leaf-major; then
+    /// each leaf's NICs, leaf by leaf.
+    fn clos_links(leaves: usize, hosts_per_leaf: usize, spines: usize) -> TopologyBuilder {
         assert!(leaves >= 1 && hosts_per_leaf >= 1 && spines >= 1);
         let mut b = TopologyBuilder::new();
         let leaf_sw: Vec<SwitchId> = (0..leaves)
@@ -915,51 +970,7 @@ impl TopologyBuilder {
                 b.connect(Vertex::Nic(n), Vertex::Switch(l), LinkSpec::MYRINET_1280);
             }
         }
-        // Build once for the link table (BFS routes), then — unless the
-        // policy is StaticBfs — replace the routes with dispersed ones.
-        let mut topo = b.build();
-        let spec = Clos2Spec {
-            hosts_per_leaf,
-            spines,
-            base_nic: 2 * leaves * spines,
-        };
-        topo.policy = policy;
-        if policy == RoutePolicy::Adaptive {
-            topo.adaptive = Some(AdaptiveSpec::Clos2(spec));
-        }
-        if policy == RoutePolicy::StaticBfs {
-            return topo;
-        }
-        use std::collections::HashMap;
-        let mut link_of: HashMap<(Vertex, Vertex), LinkId> = HashMap::new();
-        for i in 0..topo.link_count() {
-            let l = topo.links[i];
-            link_of.insert((l.from, l.to), LinkId(i));
-        }
-        let nics = topo.nic_count();
-        let leaf_of = |nic: usize| leaf_sw[nic / hosts_per_leaf];
-        let mut routes = Vec::with_capacity(nics * nics);
-        for src in 0..nics {
-            for dst in 0..nics {
-                if src == dst {
-                    routes.push(Route::new(vec![]));
-                    continue;
-                }
-                let (la, lb) = (leaf_of(src), leaf_of(dst));
-                let up = link_of[&(Vertex::Nic(NicId(src)), Vertex::Switch(la))];
-                let down = link_of[&(Vertex::Switch(lb), Vertex::Nic(NicId(dst)))];
-                if la == lb {
-                    routes.push(Route::new(vec![up, down]));
-                } else {
-                    let spine = spine_sw[(src + dst) % spines];
-                    let to_spine = link_of[&(Vertex::Switch(la), Vertex::Switch(spine))];
-                    let from_spine = link_of[&(Vertex::Switch(spine), Vertex::Switch(lb))];
-                    routes.push(Route::new(vec![up, to_spine, from_spine, down]));
-                }
-            }
-        }
-        topo.table = RouteTable::Dense(routes);
-        topo
+        b
     }
 
     /// A three-level Clos: `pods` pods of 8 leaf switches × 8 hosts (64
@@ -1565,6 +1576,114 @@ mod tests {
         let t = clos.build(64, RoutePolicy::Adaptive);
         assert_eq!(t.nic_count(), 64);
         assert_eq!(t.route_policy(), RoutePolicy::Adaptive);
+    }
+
+    /// The dispersed `src → dst` route as the two-level builder used to
+    /// materialise it for every pair: endpoint pairs looked up in a
+    /// `HashMap` of the link table. Kept as the oracle for computed routes.
+    fn dispersed_clos2_oracle(
+        link_of: &std::collections::HashMap<(Vertex, Vertex), LinkId>,
+        leaves: usize,
+        hosts_per_leaf: usize,
+        spines: usize,
+        src: usize,
+        dst: usize,
+    ) -> Vec<LinkId> {
+        if src == dst {
+            return vec![];
+        }
+        let leaf_of = |nic: usize| SwitchId(nic / hosts_per_leaf);
+        let (la, lb) = (leaf_of(src), leaf_of(dst));
+        let up = link_of[&(Vertex::Nic(NicId(src)), Vertex::Switch(la))];
+        let down = link_of[&(Vertex::Switch(lb), Vertex::Nic(NicId(dst)))];
+        if la == lb {
+            return vec![up, down];
+        }
+        let spine = SwitchId(leaves + (src + dst) % spines);
+        let to_spine = link_of[&(Vertex::Switch(la), Vertex::Switch(spine))];
+        let from_spine = link_of[&(Vertex::Switch(spine), Vertex::Switch(lb))];
+        vec![up, to_spine, from_spine, down]
+    }
+
+    /// 1:1, 2:1 and 4:1 fabrics, one host per leaf, more spines than
+    /// hosts, and the partial-last-leaf shapes `for_cluster` builds for 100
+    /// and 1000 hosts (13 and 125 whole leaves).
+    const CLOS2_SHAPES: [(usize, usize, usize); 7] = [
+        (4, 8, 8),
+        (4, 8, 4),
+        (4, 8, 2),
+        (5, 1, 3),
+        (3, 2, 5),
+        (13, 8, 8),
+        (125, 8, 8),
+    ];
+
+    #[test]
+    fn computed_clos2_routes_equal_the_dispersed_and_bfs_tables() {
+        assert_eq!(TopologyBuilder::for_cluster(100).nic_count(), 13 * 8);
+        assert_eq!(TopologyBuilder::for_cluster(1000).nic_count(), 125 * 8);
+        for (leaves, hpl, spines) in CLOS2_SHAPES {
+            let bfs = TopologyBuilder::clos_links(leaves, hpl, spines).build();
+            let link_of = (0..bfs.link_count())
+                .map(|i| ((bfs.links[i].from, bfs.links[i].to), LinkId(i)))
+                .collect();
+            let static_bfs =
+                TopologyBuilder::clos_policy(leaves, hpl, spines, RoutePolicy::StaticBfs);
+            let dispersed = TopologyBuilder::clos(leaves, hpl, spines);
+            let adaptive = TopologyBuilder::clos_policy(leaves, hpl, spines, RoutePolicy::Adaptive);
+            let n = leaves * hpl;
+            let mut got = Vec::new();
+            for src in 0..n {
+                for dst in 0..n {
+                    let (s, d) = (NicId(src), NicId(dst));
+                    let want = dispersed_clos2_oracle(&link_of, leaves, hpl, spines, src, dst);
+                    dispersed.route_links_into(s, d, &mut got);
+                    assert_eq!(got, want, "dispersed {leaves}x{hpl}/{spines} {src}->{dst}");
+                    adaptive.route_links_into(s, d, &mut got);
+                    assert_eq!(got, want, "adaptive {leaves}x{hpl}/{spines} {src}->{dst}");
+                    static_bfs.route_links_into(s, d, &mut got);
+                    assert_eq!(
+                        got,
+                        bfs.route(s, d).links(),
+                        "static {leaves}x{hpl}/{spines} {src}->{dst}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clos2_min_delivery_latency_equals_the_pair_scan() {
+        let scan = |t: &Topology| {
+            let n = t.nic_count();
+            (0..n)
+                .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+                .map(|(s, d)| t.delivery_latency(t.route(NicId(s), NicId(d)).links(), 0))
+                .min()
+        };
+        let shapes = [
+            (1, 1, 1),
+            (2, 1, 1),
+            (4, 1, 2),
+            (3, 2, 2),
+            (4, 8, 4),
+            (13, 8, 8),
+        ];
+        for (leaves, hpl, spines) in shapes {
+            for policy in [
+                RoutePolicy::StaticBfs,
+                RoutePolicy::Dispersed,
+                RoutePolicy::Adaptive,
+            ] {
+                let t = TopologyBuilder::clos_policy(leaves, hpl, spines, policy);
+                assert_eq!(
+                    t.min_delivery_latency(),
+                    scan(&t),
+                    "{leaves}x{hpl}/{spines} {policy:?}"
+                );
+            }
+        }
+        assert_eq!(TopologyBuilder::clos(1, 1, 1).min_delivery_latency(), None);
     }
 
     #[test]

@@ -93,11 +93,13 @@ pub enum ExperimentError {
     ZeroProcs,
     /// `rounds == 0`: nothing to measure.
     ZeroRounds,
-    /// Warmup must leave at least one measured round.
+    /// Warmup must leave at least one measured round. The mean covers the
+    /// gaps between consecutive completions after round `warmup`, so it
+    /// needs `warmup + 2 <= rounds`.
     WarmupNotBelowRounds {
         /// Configured total rounds.
         rounds: u64,
-        /// Configured warmup rounds (must be `< rounds`).
+        /// Configured warmup rounds (must be at most `rounds - 2`).
         warmup: u64,
     },
     /// A tree algorithm (`Gb`, `Bcast`, `Reduce`, `Allreduce`) with arity 0.
@@ -183,7 +185,8 @@ impl fmt::Display for ExperimentError {
             ExperimentError::ZeroRounds => write!(f, "experiment has zero rounds"),
             ExperimentError::WarmupNotBelowRounds { rounds, warmup } => write!(
                 f,
-                "warmup ({warmup}) must be below rounds ({rounds}) to leave measured rounds"
+                "warmup ({warmup}) must be at most rounds - 2 (rounds = {rounds}) \
+                 to leave a measured round"
             ),
             ExperimentError::ZeroDim => write!(f, "tree algorithm with arity 0"),
             ExperimentError::InvalidRadix { radix } => {
@@ -256,7 +259,10 @@ pub struct BarrierExperiment {
     pub placement: Placement,
     /// Consecutive barriers to run.
     pub rounds: u64,
-    /// Leading rounds excluded from the mean (start-up transient).
+    /// Leading rounds excluded from the mean (start-up transient). The
+    /// mean covers the `rounds - warmup - 1` gaps between consecutive
+    /// completions after round `warmup`, so `warmup` must be at most
+    /// `rounds - 2`.
     pub warmup: u64,
     /// Host-overhead multiplier modelling an extra software layer (§2.2's
     /// MPI prediction); 1.0 = raw GM.
@@ -380,7 +386,7 @@ impl BarrierExperiment {
         self
     }
 
-    /// Override rounds/warmup.
+    /// Override rounds/warmup (`warmup` at most `rounds - 2`).
     #[must_use]
     pub fn rounds(mut self, rounds: u64, warmup: u64) -> Self {
         self.rounds = rounds;
@@ -764,7 +770,9 @@ pub struct MultiTenantExperiment {
     pub max_team: usize,
     /// Barrier rounds per team.
     pub rounds: u64,
-    /// Leading rounds excluded from the statistics.
+    /// Leading rounds excluded from the statistics. As for
+    /// [`BarrierExperiment::warmup`], the statistics cover the gaps after
+    /// round `warmup`, so `warmup` must be at most `rounds - 2`.
     pub warmup: u64,
     /// Seed for placement (and the skewless deterministic schedule).
     pub seed: u64,
@@ -815,7 +823,7 @@ impl MultiTenantExperiment {
         self
     }
 
-    /// Override rounds/warmup.
+    /// Override rounds/warmup (`warmup` at most `rounds - 2`).
     #[must_use]
     pub fn rounds(mut self, rounds: u64, warmup: u64) -> Self {
         self.rounds = rounds;
@@ -1372,6 +1380,35 @@ mod tests {
                 nodes: 4
             }
         );
+    }
+
+    #[test]
+    fn warmup_leaves_at_least_one_measured_round() {
+        use ExperimentError as E;
+        // rounds(2, 1) leaves no gap after round 1 to measure: rejected,
+        // and the message states the rule the check enforces.
+        let barrier = BarrierExperiment::new(4, Algorithm::Nic(Descriptor::Pe));
+        let err = barrier.rounds(2, 1).run().unwrap_err();
+        assert_eq!(
+            err,
+            E::WarmupNotBelowRounds {
+                rounds: 2,
+                warmup: 1
+            }
+        );
+        assert!(err.to_string().contains("at most rounds - 2"), "{err}");
+        let m = barrier.rounds(2, 0).run().unwrap();
+        assert_eq!(m.per_round.count(), 1);
+
+        let tenants = MultiTenantExperiment::new(8, 2).team_sizes(2, 4);
+        assert_eq!(
+            tenants.rounds(2, 1).run().unwrap_err(),
+            E::WarmupNotBelowRounds {
+                rounds: 2,
+                warmup: 1
+            }
+        );
+        assert!(tenants.rounds(2, 0).run().is_ok());
     }
 
     #[test]
