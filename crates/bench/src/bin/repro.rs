@@ -8,13 +8,14 @@
 //! cargo run --release -p gmsim-bench --bin repro -- --smoke scale
 //! ```
 //!
-//! Experiment ids (see DESIGN.md §5): fig5a fig5b fig5c fig5d fig2 gbdim
-//! headline scale layer fuzzy ablate mpi util dissem scan breakdown faults
-//! payload advisor fabric.
+//! Experiment ids (see DESIGN.md §5) are the names in [`STUDIES`], which
+//! `all` runs in order, plus the `trace` diagnostic. Gated studies exit
+//! nonzero when a gate fails; `--smoke` shrinks their grids for CI.
 //!
 //! `--trace <path>` runs a 16-node NIC-based PE barrier with structured
 //! tracing on and writes a chrome://tracing (Perfetto-loadable) JSON file.
 
+use gmsim_bench::{Bench, Gate, Json};
 use gmsim_gm::config::CollectiveWireMode;
 use gmsim_gm::GmConfig;
 use gmsim_lanai::NicModel;
@@ -47,58 +48,24 @@ fn main() {
     }
     let ids: Vec<&str> =
         if args.iter().any(|a| a == "all") || (args.is_empty() && trace_path.is_none()) {
-            vec![
-                "fig5a",
-                "fig5b",
-                "fig5c",
-                "fig5d",
-                "fig2",
-                "gbdim",
-                "headline",
-                "scale",
-                "layer",
-                "fuzzy",
-                "ablate",
-                "mpi",
-                "util",
-                "dissem",
-                "scan",
-                "breakdown",
-                "faults",
-                "multitenant",
-                "payload",
-                "advisor",
-                "fabric",
-            ]
+            STUDIES.iter().map(|&(id, _)| id).collect()
         } else {
             args.iter().map(String::as_str).collect()
         };
     let mut ok = true;
     for id in ids {
-        match id {
-            "fig5a" => fig5_latency(NicModel::LANAI_4_3, &[2, 4, 8, 16], "fig5a"),
-            "fig5b" => fig5_improvement(NicModel::LANAI_4_3, &[2, 4, 8, 16], "fig5b"),
-            "fig5c" => fig5_latency(NicModel::LANAI_7_2, &[2, 4, 8], "fig5c"),
-            "fig5d" => fig5_improvement(NicModel::LANAI_7_2, &[2, 4, 8], "fig5d"),
-            "fig2" => fig2_timing_model(),
-            "gbdim" => gb_dimension_sweep(),
-            "headline" => headline(),
-            "scale" => ok = scaling_study(smoke) && ok,
-            "layer" => layer_study(),
-            "fuzzy" => fuzzy_study(),
-            "ablate" => ablations(),
-            "mpi" => mpi_study(),
-            "util" => util_study(),
-            "dissem" => dissemination_study(),
-            "scan" => scan_study(),
-            "breakdown" => breakdown(),
-            "faults" => faults_study(),
-            "multitenant" => ok = multitenant_study(smoke) && ok,
-            "payload" => ok = payload_study(smoke) && ok,
-            "advisor" => ok = advisor_study(smoke) && ok,
-            "fabric" => ok = fabric_study(smoke) && ok,
-            "trace" => trace_one_barrier(),
-            other => eprintln!("unknown experiment id: {other}"),
+        match STUDIES
+            .iter()
+            .chain(DIAGNOSTICS)
+            .find(|&&(name, _)| name == id)
+        {
+            Some((_, study)) => {
+                if !study(smoke) {
+                    eprintln!("{id}: at least one gate failed");
+                    ok = false;
+                }
+            }
+            None => eprintln!("unknown experiment id: {id}"),
         }
     }
     if !ok {
@@ -106,12 +73,54 @@ fn main() {
     }
 }
 
+/// A study prints its tables and writes its BENCH file, if it has one.
+/// The argument is `--smoke`; the result is `false` when a gate failed.
+type Study = fn(bool) -> bool;
+
+/// Every study, in the order `all` runs them.
+const STUDIES: &[(&str, Study)] = &[
+    ("fig5a", |_| fig5_latency(NicModel::LANAI_4_3, "fig5a")),
+    ("fig5b", |_| fig5_improvement(NicModel::LANAI_4_3, "fig5b")),
+    ("fig5c", |_| fig5_latency(NicModel::LANAI_7_2, "fig5c")),
+    ("fig5d", |_| fig5_improvement(NicModel::LANAI_7_2, "fig5d")),
+    ("fig2", fig2_timing_model),
+    ("gbdim", gb_dimension_sweep),
+    ("headline", headline),
+    ("scale", scaling_study),
+    ("layer", layer_study),
+    ("fuzzy", fuzzy_study),
+    ("ablate", ablations),
+    ("mpi", mpi_study),
+    ("util", util_study),
+    ("dissem", dissemination_study),
+    ("scan", scan_study),
+    ("breakdown", breakdown),
+    ("faults", faults_study),
+    ("multitenant", multitenant_study),
+    ("payload", payload_study),
+    ("advisor", advisor_study),
+    ("fabric", fabric_study),
+];
+
+/// Ids that run only when named: diagnostics, not parts of the evaluation.
+const DIAGNOSTICS: &[(&str, Study)] = &[("trace", trace_one_barrier)];
+
 fn measure(e: BarrierExperiment) -> f64 {
     e.run().unwrap().mean_us
 }
 
+/// The node counts the paper measured: sixteen LANai 4.3 cards, but only
+/// eight LANai 7.2 cards.
+fn testbed_sizes(nic: NicModel) -> &'static [usize] {
+    if nic == NicModel::LANAI_7_2 {
+        &[2, 4, 8]
+    } else {
+        &[2, 4, 8, 16]
+    }
+}
+
 /// The four curves of Figure 5(a)/(c): barrier latency vs nodes.
-fn fig5_latency(nic: NicModel, sizes: &[usize], id: &str) {
+fn fig5_latency(nic: NicModel, id: &str) -> bool {
     println!("\n=== {id}: barrier latency vs nodes, {} ===", nic.name);
     let mut t = Table::new(vec![
         "nodes",
@@ -120,7 +129,7 @@ fn fig5_latency(nic: NicModel, sizes: &[usize], id: &str) {
         "host-PE (us)",
         "host-GB best (us)",
     ]);
-    for &n in sizes {
+    for &n in testbed_sizes(nic) {
         let nic_pe = measure(BarrierExperiment::new(n, Algorithm::Nic(Descriptor::Pe)).nic(nic));
         let host_pe = measure(BarrierExperiment::new(n, Algorithm::Host(Descriptor::Pe)).nic(nic));
         let (nd, ngb) =
@@ -136,16 +145,17 @@ fn fig5_latency(nic: NicModel, sizes: &[usize], id: &str) {
         ]);
     }
     print!("{}", t.render());
+    true
 }
 
 /// Figure 5(b)/(d): factor of improvement vs nodes.
-fn fig5_improvement(nic: NicModel, sizes: &[usize], id: &str) {
+fn fig5_improvement(nic: NicModel, id: &str) -> bool {
     println!(
         "\n=== {id}: factor of improvement (host / NIC), {} ===",
         nic.name
     );
     let mut t = Table::new(vec!["nodes", "PE factor", "GB factor"]);
-    for &n in sizes {
+    for &n in testbed_sizes(nic) {
         let nic_pe = measure(BarrierExperiment::new(n, Algorithm::Nic(Descriptor::Pe)).nic(nic));
         let host_pe = measure(BarrierExperiment::new(n, Algorithm::Host(Descriptor::Pe)).nic(nic));
         let (_, ngb) =
@@ -159,10 +169,11 @@ fn fig5_improvement(nic: NicModel, sizes: &[usize], id: &str) {
         ]);
     }
     print!("{}", t.render());
+    true
 }
 
 /// Figure 2 / Equations 1–3: analytic component model vs simulation.
-fn fig2_timing_model() {
+fn fig2_timing_model(_smoke: bool) -> bool {
     println!("\n=== fig2: timing model components and Eq.1-3 vs simulation ===");
     // The paper's Figure 2 timing diagrams (8-node example), from the model.
     let m = CostModel::from_config(&GmConfig::paper_host(NicModel::LANAI_4_3));
@@ -193,10 +204,7 @@ fn fig2_timing_model() {
     ]);
     for nic in [NicModel::LANAI_4_3, NicModel::LANAI_7_2] {
         let m = CostModel::from_config(&GmConfig::paper_host(nic));
-        for n in [2usize, 4, 8, 16] {
-            if nic == NicModel::LANAI_7_2 && n == 16 {
-                continue; // the paper has only eight 7.2 cards
-            }
+        for &n in testbed_sizes(nic) {
             let sim_host =
                 measure(BarrierExperiment::new(n, Algorithm::Host(Descriptor::Pe)).nic(nic));
             let sim_nic =
@@ -214,11 +222,12 @@ fn fig2_timing_model() {
         }
     }
     print!("{}", t.render());
+    true
 }
 
 /// §6 ¶2: the GB tree-dimension sweep behind "the latencies reported in the
 /// graphs are the minimum latencies over all dimensions".
-fn gb_dimension_sweep() {
+fn gb_dimension_sweep(_smoke: bool) -> bool {
     println!("\n=== gbdim: GB latency vs tree dimension, LANai 4.3 ===");
     for n in [4usize, 8, 16] {
         let mut t = Table::new(vec!["dim", "NIC-GB (us)", "host-GB (us)"]);
@@ -240,10 +249,11 @@ fn gb_dimension_sweep() {
         println!("-- {n} nodes --");
         print!("{}", t.render());
     }
+    true
 }
 
 /// The in-text headline numbers (§1/§6) against our measurements.
-fn headline() {
+fn headline(_smoke: bool) -> bool {
     println!("\n=== headline: paper's published numbers vs this reproduction ===");
     let l43 = NicModel::LANAI_4_3;
     let l72 = NicModel::LANAI_7_2;
@@ -296,6 +306,7 @@ fn headline() {
         true,
     );
     print!("{}", t.render());
+    true
 }
 
 /// §2.2's scaling prediction taken far beyond the paper's testbed: barrier
@@ -401,7 +412,7 @@ fn scaling_study(smoke: bool) -> bool {
     });
 
     let mut ok = true;
-    let mut json_rows = Vec::new();
+    let mut points = Vec::new();
     let mut t = Table::new(vec![
         "nic",
         "nodes",
@@ -428,49 +439,30 @@ fn scaling_study(smoke: bool) -> bool {
         } else {
             PE_MODEL_TOLERANCE
         };
-        let rel = (model - meas) / meas;
-        let pass = rel.abs() <= tol;
-        ok &= pass;
-        if !pass {
-            eprintln!(
-                "scale: FAIL {} n={} {}: model {:.3} us vs sim {:.3} us \
-                 ({:+.1}% exceeds the ±{:.0}% tolerance)",
-                nic.name,
-                n,
-                key,
-                model,
-                meas,
-                rel * 100.0,
-                tol * 100.0
-            );
-        }
+        let label = format!("{} n={n} {key} model vs sim", nic.name);
+        let g = Gate::report("scale", &label, model, *meas, tol);
+        ok &= g.pass;
         t.row(vec![
             nic.name.to_string(),
             n.to_string(),
             key.to_string(),
             us(*meas),
             us(model),
-            format!("{:+.1}%", rel * 100.0),
+            format!("{:+.1}%", g.rel * 100.0),
             format!("{:.0}%", tol * 100.0),
-            if pass { "yes" } else { "NO" }.to_string(),
+            g.verdict().to_string(),
         ]);
-        json_rows.push(format!(
-            concat!(
-                "    {{\"nic\": \"{nic}\", \"clock_mhz\": {mhz}, \"nodes\": {n}, ",
-                "\"algorithm\": \"{key}\", \"measured_us\": {meas:.3}, ",
-                "\"model_us\": {model:.3}, \"rel_err\": {rel:.4}, ",
-                "\"tolerance\": {tol}, \"pass\": {pass}}}"
-            ),
-            nic = nic.name,
-            mhz = nic.clock.mhz(),
-            n = n,
-            key = key,
-            meas = meas,
-            model = model,
-            rel = rel,
-            tol = tol,
-            pass = pass,
-        ));
+        points.push(vec![
+            ("nic", nic.name.into()),
+            ("clock_mhz", Json::plain(nic.clock.mhz())),
+            ("nodes", (*n).into()),
+            ("algorithm", (*key).into()),
+            ("measured_us", Json::fixed(*meas, 3)),
+            ("model_us", Json::fixed(model, 3)),
+            ("rel_err", Json::fixed(g.rel, 4)),
+            ("tolerance", Json::plain(tol)),
+            ("pass", g.pass.into()),
+        ]);
     }
     print!("{}", t.render());
     println!("(NIC-PE's lead over host-PE keeps widening with log2 N, as §2.2 predicts)");
@@ -522,47 +514,32 @@ fn scaling_study(smoke: bool) -> bool {
             us(m.mean_us),
             if identical { "yes" } else { "NO" }.to_string(),
         ]);
-        speed_rows.push(format!(
-            concat!(
-                "    {{\"nodes\": {n}, \"threads\": {threads}, \"wall_s\": {wall:.3}, ",
-                "\"speedup\": {speedup:.3}, \"mean_us\": {mean:.4}, ",
-                "\"bit_identical\": {identical}}}"
-            ),
-            n = speed_n,
-            threads = threads,
-            wall = wall,
-            speedup = speedup,
-            mean = m.mean_us,
-            identical = identical,
-        ));
+        speed_rows.push(vec![
+            ("nodes", speed_n.into()),
+            ("threads", threads.into()),
+            ("wall_s", Json::fixed(wall, 3)),
+            ("speedup", Json::fixed(speedup, 3)),
+            ("mean_us", Json::fixed(m.mean_us, 4)),
+            ("bit_identical", identical.into()),
+        ]);
     }
     print!("{}", st.render());
 
-    let json = format!(
-        "{{\n  \"schema\": \"gmsim-scale/v2\",\n  \"experiment\": \
-         \"latency_vs_nodes_vs_analytic_model\",\n  \"smoke\": {},\n  \
-         \"host_cores\": {},\n  \"sweep_workers\": {},\n  \"pdes_threads\": {},\n  \
-         \"points\": [\n{}\n  ],\n  \"speedup\": [\n{}\n  ]\n}}\n",
-        smoke,
-        host_cores,
-        sweep_workers,
-        pdes_threads,
-        json_rows.join(",\n"),
-        speed_rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-    std::fs::write(out, &json).expect("write BENCH_scale.json");
-    println!("wrote {}", out);
-    if !ok {
-        eprintln!("scale: at least one point violated its model tolerance");
-    }
+    Bench::new("gmsim-scale/v2", "latency_vs_nodes_vs_analytic_model")
+        .field("smoke", smoke)
+        .field("host_cores", host_cores)
+        .field("sweep_workers", sweep_workers)
+        .field("pdes_threads", pdes_threads)
+        .rows("points", points)
+        .rows("speedup", speed_rows)
+        .write("BENCH_scale.json");
     ok
 }
 
 /// §2.2's layering prediction: "as the host send overhead increases, say
 /// from the addition of another programming layer such as MPI, the factor
 /// of improvement will increase".
-fn layer_study() {
+fn layer_study(_smoke: bool) -> bool {
     println!("\n=== layer: factor of improvement vs host-layer overhead, 16n LANai 4.3 ===");
     let mut t = Table::new(vec![
         "layer factor",
@@ -581,10 +558,11 @@ fn layer_study() {
         ]);
     }
     print!("{}", t.render());
+    true
 }
 
 /// §2.1's fuzzy barrier: computation hidden inside the NIC barrier.
-fn fuzzy_study() {
+fn fuzzy_study(_smoke: bool) -> bool {
     println!("\n=== fuzzy: compute overlapped with the NIC barrier, 8n LANai 4.3 ===");
     let mut t = Table::new(vec![
         "compute (us)",
@@ -603,11 +581,12 @@ fn fuzzy_study() {
         ]);
     }
     print!("{}", t.render());
+    true
 }
 
 /// §8 / CAC'01 follow-up: MPI_Barrier bound to the NIC-based vs host-based
 /// barrier under an MPI-like layer, raw barrier latency and a BSP app.
-fn mpi_study() {
+fn mpi_study(_smoke: bool) -> bool {
     use gmsim_des::SimTime;
     use gmsim_gm::cluster::ClusterBuilder;
     use gmsim_mpi::{script, MpiConfig, MpiProcess, NOTE_MPI_DONE};
@@ -665,12 +644,13 @@ fn mpi_study() {
     }
     print!("{}", t.render());
     println!("(the MPI factor exceeding the raw-GM factor is the paper's §2.2/§8 prediction)");
+    true
 }
 
 /// §1's host-utilization claim: "Because the barrier algorithm is
 /// performed at the NIC, the processor is free to perform computation
 /// while polling for the barrier to complete."
-fn util_study() {
+fn util_study(_smoke: bool) -> bool {
     use gmsim_des::SimTime;
     use gmsim_gm::cluster::ClusterBuilder;
     use nic_barrier::programs::NicBarrierLoop;
@@ -732,12 +712,13 @@ fn util_study() {
     }
     print!("{}", t.render());
     println!("(the freed host time is what the fuzzy barrier converts into computation)");
+    true
 }
 
 /// Diagnostic: the measured wire-event interleaving of one 4-node
 /// NIC-based PE barrier (every packet send and reception, in virtual-time
 /// order). Not a paper figure; it shows the §5.2 firmware chaining live.
-fn trace_one_barrier() {
+fn trace_one_barrier(_smoke: bool) -> bool {
     use gmsim_des::SimTime;
     use gmsim_gm::cluster::ClusterBuilder;
     use nic_barrier::programs::NicBarrierLoop;
@@ -769,13 +750,14 @@ fn trace_one_barrier() {
             note.node.0
         );
     }
+    true
 }
 
 /// Extension beyond the paper: dissemination barrier vs PE, NIC- and
 /// host-based. Dissemination's send/receive peers differ per round, so it
 /// pays one extra half-round of skew tolerance but no fold steps at
 /// non-powers of two.
-fn dissemination_study() {
+fn dissemination_study(_smoke: bool) -> bool {
     println!("\n=== dissem: dissemination barrier vs PE (extension), LANai 4.3 ===");
     let mut t = Table::new(vec![
         "procs",
@@ -808,12 +790,13 @@ fn dissemination_study() {
     }
     print!("{}", t.render());
     println!("(at non-powers of two dissemination avoids PE's fold steps)");
+    true
 }
 
 /// Extension beyond the paper: NIC-offloaded inclusive prefix scan
 /// (Hillis–Steele) through the same compiled-schedule path, vs the
 /// host-based interpretation of the identical IR and the plain barrier.
-fn scan_study() {
+fn scan_study(_smoke: bool) -> bool {
     use nic_barrier::ReduceOp;
 
     println!("\n=== scan: NIC-offloaded MPI_Scan vs host-based (extension), LANai 4.3 ===");
@@ -845,13 +828,14 @@ fn scan_study() {
     }
     print!("{}", t.render());
     println!("(scan shares PE's exchange structure, so its latency tracks the barrier)");
+    true
 }
 
 /// Beyond the paper: barrier completion latency vs injected drop rate on
 /// the reliable stream — the cost of GM's go-back-N recovery with the
 /// adaptive RTO. Emits `BENCH_faults.json` alongside the table so CI can
 /// archive the curve.
-fn faults_study() {
+fn faults_study(_smoke: bool) -> bool {
     use gmsim_des::Counter;
     use gmsim_myrinet::FaultPlan;
 
@@ -865,7 +849,7 @@ fn faults_study() {
         "timer cancels",
     ]);
     let rates = [0.0f64, 0.02, 0.05, 0.10, 0.20];
-    let mut json_rows = Vec::new();
+    let mut points = Vec::new();
     for &rate in &rates {
         let m = BarrierExperiment::new(8, Algorithm::Nic(Descriptor::Pe))
             .rounds(120, 10)
@@ -884,30 +868,21 @@ fn faults_study() {
             backoffs.to_string(),
             cancels.to_string(),
         ]);
-        json_rows.push(format!(
-            concat!(
-                "    {{\"drop_rate\": {rate}, \"mean_us\": {mean:.3}, ",
-                "\"drops\": {drops}, \"retx\": {retx}, ",
-                "\"rto_backoffs\": {backoffs}, \"timer_cancels\": {cancels}}}"
-            ),
-            rate = rate,
-            mean = m.mean_us,
-            drops = drops,
-            retx = retx,
-            backoffs = backoffs,
-            cancels = cancels,
-        ));
+        points.push(vec![
+            ("drop_rate", Json::plain(rate)),
+            ("mean_us", Json::fixed(m.mean_us, 3)),
+            ("drops", drops.into()),
+            ("retx", retx.into()),
+            ("rto_backoffs", backoffs.into()),
+            ("timer_cancels", cancels.into()),
+        ]);
     }
     print!("{}", t.render());
     println!("(recovery is timeout-driven, so the mean climbs with the RTO, not the wire time)");
-    let json = format!(
-        "{{\n  \"schema\": \"gmsim-faults/v1\",\n  \"experiment\": \
-         \"nic_pe_8n_lanai43_drop_sweep\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
-    std::fs::write(out, &json).expect("write BENCH_faults.json");
-    println!("wrote {}", out);
+    Bench::new("gmsim-faults/v1", "nic_pe_8n_lanai43_drop_sweep")
+        .rows("points", points)
+        .write("BENCH_faults.json");
+    true
 }
 
 /// Beyond the paper: multi-tenant interference. Hundreds of mixed-size
@@ -967,27 +942,29 @@ fn multitenant_study(smoke: bool) -> bool {
             .rounds(rounds, warmup)
             .run()
             .expect("isolated baseline run");
-        let rel = (isolated.mean_us - reference) / reference;
-        let pass = rel.abs() <= BASELINE_TOLERANCE;
-        ok &= pass;
+        let label = format!("n={n} isolated team vs global barrier");
+        let g = Gate::report(
+            "multitenant",
+            &label,
+            isolated.mean_us,
+            reference,
+            BASELINE_TOLERANCE,
+        );
+        ok &= g.pass;
         bt.row(vec![
             n.to_string(),
             us(reference),
             us(isolated.mean_us),
-            format!("{:+.2e}", rel),
-            if pass { "yes" } else { "NO" }.to_string(),
+            format!("{:+.2e}", g.rel),
+            g.verdict().to_string(),
         ]);
-        baseline_rows.push(format!(
-            concat!(
-                "    {{\"nodes\": {n}, \"reference_us\": {reference:.4}, ",
-                "\"isolated_us\": {iso:.4}, \"rel_err\": {rel:.3e}, \"pass\": {pass}}}"
-            ),
-            n = n,
-            reference = reference,
-            iso = isolated.mean_us,
-            rel = rel,
-            pass = pass,
-        ));
+        baseline_rows.push(vec![
+            ("nodes", n.into()),
+            ("reference_us", Json::fixed(reference, 4)),
+            ("isolated_us", Json::fixed(isolated.mean_us, 4)),
+            ("rel_err", Json::sci(g.rel, 3)),
+            ("pass", g.pass.into()),
+        ]);
 
         // Interference curve: mixed-size teams under background traffic.
         // At 256 nodes the full study packs hundreds of teams onto the
@@ -1017,38 +994,24 @@ fn multitenant_study(smoke: bool) -> bool {
                 peak.to_string(),
                 xrejects.to_string(),
             ]);
-            point_rows.push(format!(
-                concat!(
-                    "    {{\"nodes\": {n}, \"teams\": {teams}, \"mean_us\": {mean:.4}, ",
-                    "\"p99_us\": {p99:.4}, \"concurrent_peak\": {peak}, ",
-                    "\"cross_team_rejects\": {xr}}}"
-                ),
-                n = n,
-                teams = teams,
-                mean = m.mean_us,
-                p99 = m.p99_us,
-                peak = peak,
-                xr = xrejects,
-            ));
+            point_rows.push(vec![
+                ("nodes", n.into()),
+                ("teams", teams.into()),
+                ("mean_us", Json::fixed(m.mean_us, 4)),
+                ("p99_us", Json::fixed(m.p99_us, 4)),
+                ("concurrent_peak", peak.into()),
+                ("cross_team_rejects", xrejects.into()),
+            ]);
         }
     }
     print!("{}", bt.render());
     print!("{}", t.render());
     println!("(one NIC multiplexes every co-resident team; contention shows up in p99 first)");
-    let json = format!(
-        "{{\n  \"schema\": \"gmsim-multitenant/v1\",\n  \"experiment\": \
-         \"concurrent_team_interference\",\n  \"smoke\": {},\n  \"baseline\": [\n{}\n  ],\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        smoke,
-        baseline_rows.join(",\n"),
-        point_rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_multitenant.json");
-    std::fs::write(out, &json).expect("write BENCH_multitenant.json");
-    println!("wrote {}", out);
-    if !ok {
-        eprintln!("multitenant: the isolated baseline regressed vs the global barrier");
-    }
+    Bench::new("gmsim-multitenant/v1", "concurrent_team_interference")
+        .field("smoke", smoke)
+        .rows("baseline", baseline_rows)
+        .rows("points", point_rows)
+        .write("BENCH_multitenant.json");
     ok
 }
 
@@ -1132,7 +1095,7 @@ fn payload_study(smoke: bool) -> bool {
 
     let m = CostModel::from_config(&GmConfig::paper_host(NicModel::LANAI_4_3));
     let mut ok = true;
-    let mut json_rows = Vec::new();
+    let mut points = Vec::new();
     let mut t = Table::new(vec![
         "nodes",
         "collective",
@@ -1153,27 +1116,19 @@ fn payload_study(smoke: bool) -> bool {
             "scan" => m.nic_scan_us(*n, *payload),
             other => unreachable!("unknown payload key {other}"),
         };
-        let rel = (model - meas) / meas;
-        let pass = rel.abs() <= PAYLOAD_MODEL_TOLERANCE;
-        ok &= pass;
-        if !pass {
-            eprintln!(
-                "payload: FAIL {key} n={n} bytes={b} {}: model {model:.3} us vs \
-                 sim {meas:.3} us ({:+.1}% exceeds the ±{:.0}% tolerance)",
-                if *eager { "eager" } else { "pipelined" },
-                rel * 100.0,
-                PAYLOAD_MODEL_TOLERANCE * 100.0
-            );
-        }
+        let mode = if *eager { "eager" } else { "pipelined" };
+        let label = format!("{key} n={n} bytes={b} {mode} model vs sim");
+        let g = Gate::report("payload", &label, model, *meas, PAYLOAD_MODEL_TOLERANCE);
+        ok &= g.pass;
         t.row(vec![
             n.to_string(),
             key.to_string(),
             b.to_string(),
-            if *eager { "eager" } else { "pipelined" }.to_string(),
+            mode.to_string(),
             us(*meas),
             us(model),
-            format!("{:+.1}%", rel * 100.0),
-            if pass { "yes" } else { "NO" }.to_string(),
+            format!("{:+.1}%", g.rel * 100.0),
+            g.verdict().to_string(),
         ]);
         let entry = pairs.entry((*n, *key, *b)).or_insert((f64::NAN, f64::NAN));
         if *eager {
@@ -1181,24 +1136,18 @@ fn payload_study(smoke: bool) -> bool {
         } else {
             entry.1 = *meas;
         }
-        json_rows.push(format!(
-            concat!(
-                "    {{\"nodes\": {n}, \"collective\": \"{key}\", \"bytes\": {b}, ",
-                "\"mode\": \"{mode}\", \"segments\": {segs}, \"measured_us\": {meas:.3}, ",
-                "\"model_us\": {model:.3}, \"rel_err\": {rel:.4}, ",
-                "\"tolerance\": {tol}, \"pass\": {pass}}}"
-            ),
-            n = n,
-            key = key,
-            b = b,
-            mode = if *eager { "eager" } else { "pipelined" },
-            segs = payload.segments().get(),
-            meas = meas,
-            model = model,
-            rel = rel,
-            tol = PAYLOAD_MODEL_TOLERANCE,
-            pass = pass,
-        ));
+        points.push(vec![
+            ("nodes", (*n).into()),
+            ("collective", (*key).into()),
+            ("bytes", (*b).into()),
+            ("mode", mode.into()),
+            ("segments", Json::plain(payload.segments().get())),
+            ("measured_us", Json::fixed(*meas, 3)),
+            ("model_us", Json::fixed(model, 3)),
+            ("rel_err", Json::fixed(g.rel, 4)),
+            ("tolerance", Json::plain(PAYLOAD_MODEL_TOLERANCE)),
+            ("pass", g.pass.into()),
+        ]);
     }
     print!("{}", t.render());
 
@@ -1219,30 +1168,25 @@ fn payload_study(smoke: bool) -> bool {
                 .copied();
             let label = cross.map_or("none (eager wins)".to_string(), |b| b.to_string());
             ct.row(vec![n.to_string(), key.to_string(), label]);
-            cross_rows.push(format!(
-                "    {{\"nodes\": {n}, \"collective\": \"{key}\", \"crossover_bytes\": {}}}",
-                cross.map_or("null".to_string(), |b| b.to_string()),
-            ));
+            cross_rows.push(vec![
+                ("nodes", n.into()),
+                ("collective", key.into()),
+                ("crossover_bytes", cross.into()),
+            ]);
         }
     }
     print!("{}", ct.render());
     println!("(eager wins small messages; segment pipelining wins once per-byte time dominates)");
 
-    let json = format!(
-        "{{\n  \"schema\": \"gmsim-payload/v1\",\n  \"experiment\": \
-         \"collective_latency_vs_size_vs_analytic_model\",\n  \"smoke\": {},\n  \
-         \"seg_bytes\": {},\n  \"points\": [\n{}\n  ],\n  \"crossover\": [\n{}\n  ]\n}}\n",
-        smoke,
-        SEG,
-        json_rows.join(",\n"),
-        cross_rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_payload.json");
-    std::fs::write(out, &json).expect("write BENCH_payload.json");
-    println!("wrote {}", out);
-    if !ok {
-        eprintln!("payload: at least one point violated the model tolerance");
-    }
+    Bench::new(
+        "gmsim-payload/v1",
+        "collective_latency_vs_size_vs_analytic_model",
+    )
+    .field("smoke", smoke)
+    .field("seg_bytes", SEG)
+    .rows("points", points)
+    .rows("crossover", cross_rows)
+    .write("BENCH_payload.json");
     ok
 }
 
@@ -1362,18 +1306,18 @@ fn advisor_study(smoke: bool) -> bool {
             .iter()
             .min_by(|a, b| a.2.total_cmp(&b.2))
             .expect("scenario with no candidates");
-        let regret = (pick_meas - best_meas) / best_meas;
-        let pass = regret <= ADVISOR_REGRET_TOLERANCE;
-        ok &= pass;
-        if !pass {
-            eprintln!(
-                "advisor: FAIL n={n} payload={bytes} fault={fault}: pick {pick_name} measured \
-                 {pick_meas:.3} us vs best {best_name} {best_meas:.3} us \
-                 ({:+.1}% exceeds the {:.0}% regret tolerance)",
-                regret * 100.0,
-                ADVISOR_REGRET_TOLERANCE * 100.0
-            );
-        }
+        // The pick is one of the candidates, so regret is never negative
+        // and the two-sided gate is the one-sided regret bound.
+        let label =
+            format!("n={n} payload={bytes} fault={fault} pick {pick_name} vs best {best_name}");
+        let g = Gate::report(
+            "advisor",
+            &label,
+            pick_meas,
+            best_meas,
+            ADVISOR_REGRET_TOLERANCE,
+        );
+        ok &= g.pass;
         t.row(vec![
             n.to_string(),
             bytes.to_string(),
@@ -1382,64 +1326,42 @@ fn advisor_study(smoke: bool) -> bool {
             us(pick_meas),
             best_name.to_string(),
             us(best_meas),
-            format!("{:+.1}%", regret * 100.0),
-            if pass { "yes" } else { "NO" }.to_string(),
+            format!("{:+.1}%", g.rel * 100.0),
+            g.verdict().to_string(),
         ]);
-        cell_rows.push(format!(
-            concat!(
-                "    {{\"nodes\": {n}, \"payload_bytes\": {bytes}, \"fault_rate\": {fault}, ",
-                "\"pick\": \"{pick}\", \"pick_predicted_us\": {pred:.3}, ",
-                "\"pick_measured_us\": {meas:.3}, \"best\": \"{best}\", ",
-                "\"best_measured_us\": {best_meas:.3}, \"regret\": {regret:.4}, ",
-                "\"tolerance\": {tol}, \"pass\": {pass}}}"
-            ),
-            n = n,
-            bytes = bytes,
-            fault = fault,
-            pick = pick_name,
-            pred = pick_pred,
-            meas = pick_meas,
-            best = best_name,
-            best_meas = best_meas,
-            regret = regret,
-            tol = ADVISOR_REGRET_TOLERANCE,
-            pass = pass,
-        ));
-        for (name, pred, meas) in &results {
-            cand_rows.push(format!(
-                concat!(
-                    "    {{\"nodes\": {n}, \"payload_bytes\": {bytes}, ",
-                    "\"fault_rate\": {fault}, \"candidate\": \"{name}\", ",
-                    "\"predicted_us\": {pred:.3}, \"measured_us\": {meas:.3}}}"
-                ),
-                n = n,
-                bytes = bytes,
-                fault = fault,
-                name = name,
-                pred = pred,
-                meas = meas,
-            ));
+        cell_rows.push(vec![
+            ("nodes", (*n).into()),
+            ("payload_bytes", (*bytes).into()),
+            ("fault_rate", Json::plain(fault)),
+            ("pick", pick_name.into()),
+            ("pick_predicted_us", Json::fixed(pick_pred, 3)),
+            ("pick_measured_us", Json::fixed(pick_meas, 3)),
+            ("best", best_name.into()),
+            ("best_measured_us", Json::fixed(best_meas, 3)),
+            ("regret", Json::fixed(g.rel, 4)),
+            ("tolerance", Json::plain(ADVISOR_REGRET_TOLERANCE)),
+            ("pass", g.pass.into()),
+        ]);
+        for &(name, pred, meas) in &results {
+            cand_rows.push(vec![
+                ("nodes", (*n).into()),
+                ("payload_bytes", (*bytes).into()),
+                ("fault_rate", Json::plain(fault)),
+                ("candidate", name.into()),
+                ("predicted_us", Json::fixed(pred, 3)),
+                ("measured_us", Json::fixed(meas, 3)),
+            ]);
         }
     }
     print!("{}", t.render());
     println!("(regret = advisor pick's measured latency over the measured-best candidate's)");
 
-    let json = format!(
-        "{{\n  \"schema\": \"gmsim-advisor/v1\",\n  \"experiment\": \
-         \"advisor_pick_vs_measured_best\",\n  \"smoke\": {},\n  \
-         \"regret_tolerance\": {},\n  \"cells\": [\n{}\n  ],\n  \
-         \"candidates\": [\n{}\n  ]\n}}\n",
-        smoke,
-        ADVISOR_REGRET_TOLERANCE,
-        cell_rows.join(",\n"),
-        cand_rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_advisor.json");
-    std::fs::write(out, &json).expect("write BENCH_advisor.json");
-    println!("wrote {}", out);
-    if !ok {
-        eprintln!("advisor: at least one cell exceeded the regret tolerance");
-    }
+    Bench::new("gmsim-advisor/v1", "advisor_pick_vs_measured_best")
+        .field("smoke", smoke)
+        .field("regret_tolerance", Json::plain(ADVISOR_REGRET_TOLERANCE))
+        .rows("cells", cell_rows)
+        .rows("candidates", cand_rows)
+        .write("BENCH_advisor.json");
     ok
 }
 
@@ -1458,86 +1380,44 @@ fn fabric_study(smoke: bool) -> bool {
         "\n=== fabric{}: algorithm x fabric x routing vs per-fabric model ===",
         if smoke { " (smoke)" } else { "" }
     );
-    let fabrics: &[(&str, FabricSpec, usize)] = if smoke {
-        &[
-            (
-                "clos-1to1",
-                FabricSpec::Clos {
-                    leaves: 8,
-                    hosts_per_leaf: 8,
-                    spines: 8,
-                },
-                64,
-            ),
-            (
-                "clos-4to1",
-                FabricSpec::Clos {
-                    leaves: 8,
-                    hosts_per_leaf: 8,
-                    spines: 2,
-                },
-                64,
-            ),
-        ]
-    } else {
-        &[
-            (
-                "clos-1to1",
-                FabricSpec::Clos {
-                    leaves: 8,
-                    hosts_per_leaf: 8,
-                    spines: 8,
-                },
-                64,
-            ),
-            (
-                "clos-2to1",
-                FabricSpec::Clos {
-                    leaves: 8,
-                    hosts_per_leaf: 8,
-                    spines: 4,
-                },
-                64,
-            ),
-            (
-                "clos-4to1",
-                FabricSpec::Clos {
-                    leaves: 8,
-                    hosts_per_leaf: 8,
-                    spines: 2,
-                },
-                64,
-            ),
-            ("fat-tree-k8", FabricSpec::FatTree { k: 8 }, 128),
-        ]
+    // The smoke grid keeps the non-blocking and 4:1 Clos, drops static
+    // routing and dissemination, and keeps the full grid's cell order.
+    let clos = |spines| FabricSpec::Clos {
+        leaves: 8,
+        hosts_per_leaf: 8,
+        spines,
     };
-    let policies: &[(&str, RoutePolicy)] = if smoke {
-        &[
-            ("dispersed", RoutePolicy::Dispersed),
-            ("adaptive", RoutePolicy::Adaptive),
-        ]
+    let fabrics: Vec<(&str, FabricSpec, usize)> = [
+        ("clos-1to1", clos(8), 64),
+        ("clos-2to1", clos(4), 64),
+        ("clos-4to1", clos(2), 64),
+        ("fat-tree-k8", FabricSpec::FatTree { k: 8 }, 128),
+    ]
+    .into_iter()
+    .filter(|&(name, ..)| !smoke || matches!(name, "clos-1to1" | "clos-4to1"))
+    .collect();
+    let policies = [
+        ("static", RoutePolicy::StaticBfs),
+        ("dispersed", RoutePolicy::Dispersed),
+        ("adaptive", RoutePolicy::Adaptive),
+    ];
+    let policies = if smoke { &policies[1..] } else { &policies[..] };
+    let algorithms = [
+        ("nic-pe", Descriptor::pe()),
+        ("nic-gb8", Descriptor::gb(8)),
+        ("nic-dissem2", Descriptor::dissemination_radix(2)),
+    ];
+    let algorithms = if smoke {
+        &algorithms[..2]
     } else {
-        &[
-            ("static", RoutePolicy::StaticBfs),
-            ("dispersed", RoutePolicy::Dispersed),
-            ("adaptive", RoutePolicy::Adaptive),
-        ]
-    };
-    let algorithms: Vec<(&str, Descriptor)> = if smoke {
-        vec![("nic-pe", Descriptor::pe()), ("nic-gb8", Descriptor::gb(8))]
-    } else {
-        vec![
-            ("nic-pe", Descriptor::pe()),
-            ("nic-gb8", Descriptor::gb(8)),
-            ("nic-dissem2", Descriptor::dissemination_radix(2)),
-        ]
+        &algorithms[..]
     };
 
     let m = CostModel::from_config(&GmConfig::paper_host(NicModel::LANAI_4_3));
     let mut cells = Vec::new();
-    for &(fname, spec, n) in fabrics {
+    for &(fname, spec, n) in &fabrics {
         for &(pname, policy) in policies {
-            for &(aname, desc) in &algorithms {
+            for &(aname, desc) in algorithms {
                 let sc = advisor::Scenario::barrier(n).with_fabric(spec, policy);
                 let predicted = advisor::predict(&m, &sc, advisor::Placement::Nic, &desc);
                 let mut e = BarrierExperiment::new(n, Algorithm::Nic(desc)).rounds(40, 5);
@@ -1570,17 +1450,9 @@ fn fabric_study(smoke: bool) -> bool {
         "ok",
     ]);
     for ((fname, n, spec, pname, aname, predicted, _), meas) in cells.iter().zip(&measured) {
-        let err = (predicted - meas) / meas;
-        let pass = err.abs() <= FABRIC_MODEL_TOLERANCE;
-        ok &= pass;
-        if !pass {
-            eprintln!(
-                "fabric: FAIL {fname}/{pname}/{aname}: model {predicted:.3} us vs measured \
-                 {meas:.3} us ({:+.1}% exceeds the {:.0}% tolerance)",
-                err * 100.0,
-                FABRIC_MODEL_TOLERANCE * 100.0
-            );
-        }
+        let label = format!("{fname}/{pname}/{aname} model vs measured");
+        let g = Gate::report("fabric", &label, *predicted, *meas, FABRIC_MODEL_TOLERANCE);
+        ok &= g.pass;
         let oversub = spec.oversub_ratio(*n);
         t.row(vec![
             fname.to_string(),
@@ -1590,50 +1462,35 @@ fn fabric_study(smoke: bool) -> bool {
             aname.to_string(),
             us(*predicted),
             us(*meas),
-            format!("{:+.1}%", err * 100.0),
-            if pass { "yes" } else { "NO" }.to_string(),
+            format!("{:+.1}%", g.rel * 100.0),
+            g.verdict().to_string(),
         ]);
-        rows.push(format!(
-            concat!(
-                "    {{\"fabric\": \"{fabric}\", \"nodes\": {n}, \"oversub\": {oversub}, ",
-                "\"routing\": \"{routing}\", \"algorithm\": \"{alg}\", ",
-                "\"model_us\": {pred:.3}, \"measured_us\": {meas:.3}, ",
-                "\"err\": {err:.4}, \"tolerance\": {tol}, \"pass\": {pass}}}"
-            ),
-            fabric = fname,
-            n = n,
-            oversub = oversub,
-            routing = pname,
-            alg = aname,
-            pred = predicted,
-            meas = meas,
-            err = err,
-            tol = FABRIC_MODEL_TOLERANCE,
-            pass = pass,
-        ));
+        rows.push(vec![
+            ("fabric", (*fname).into()),
+            ("nodes", (*n).into()),
+            ("oversub", Json::plain(oversub)),
+            ("routing", (*pname).into()),
+            ("algorithm", (*aname).into()),
+            ("model_us", Json::fixed(*predicted, 3)),
+            ("measured_us", Json::fixed(*meas, 3)),
+            ("err", Json::fixed(g.rel, 4)),
+            ("tolerance", Json::plain(FABRIC_MODEL_TOLERANCE)),
+            ("pass", g.pass.into()),
+        ]);
     }
     print!("{}", t.render());
     println!("(err = per-fabric analytic prediction against the measured mean)");
 
-    let json = format!(
-        "{{\n  \"schema\": \"gmsim-fabric/v1\",\n  \"experiment\": \
-         \"fabric_model_vs_measured\",\n  \"smoke\": {},\n  \
-         \"model_tolerance\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        smoke,
-        FABRIC_MODEL_TOLERANCE,
-        rows.join(",\n")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fabric.json");
-    std::fs::write(out, &json).expect("write BENCH_fabric.json");
-    println!("wrote {}", out);
-    if !ok {
-        eprintln!("fabric: at least one cell exceeded the model tolerance");
-    }
+    Bench::new("gmsim-fabric/v1", "fabric_model_vs_measured")
+        .field("smoke", smoke)
+        .field("model_tolerance", Json::plain(FABRIC_MODEL_TOLERANCE))
+        .rows("cells", rows)
+        .write("BENCH_fabric.json");
     ok
 }
 
 /// Ablations of the §3 design choices.
-fn ablations() {
+fn ablations(_smoke: bool) -> bool {
     println!("\n=== ablate: design-choice ablations ===");
     // 1. Reliability: the paper's unreliable prototype vs the integrated
     //    reliable stream (§3.3/4.4).
@@ -1687,6 +1544,7 @@ fn ablations() {
         )),
     ]);
     print!("{}", t.render());
+    true
 }
 
 /// `--trace <path>`: run a 16-node NIC-based PE barrier stream with
@@ -1824,7 +1682,7 @@ fn export_chrome_trace(path: &str) {
 /// Equations 1–2) next to what the simulator measures, for PE and GB at
 /// N ∈ {8, 16}. The per-phase terms show *where* the NIC-based barrier
 /// wins: every intermediate round drops Send/SDMA/RDMA/HostRecv.
-fn breakdown() {
+fn breakdown(_smoke: bool) -> bool {
     use gmsim_des::Counter;
 
     println!("\n=== breakdown: per-phase host-vs-NIC cost decomposition, LANai 4.3 ===");
@@ -1917,4 +1775,5 @@ fn breakdown() {
         "(Eq.1 charges the host column's phases in all {{2,..}}ceil(log2 N) rounds; \
          Eq.2 pays host phases once and NIC recv+fwd per round)"
     );
+    true
 }

@@ -182,56 +182,25 @@ impl CostModel {
 
     // ---- Scale-aware forms (N beyond the paper's 16-node testbed) ----
     //
-    // These extend Eqs. 1–2 to the two-level Clos fabric that
-    // `TopologyBuilder::for_cluster` builds past 16 hosts: a round whose
-    // partner lives in another 8-host leaf pays `cross_extra_us` on the
-    // wire, everything else is unchanged. The BENCH_scale study
-    // cross-checks every simulated point against these within stated
-    // tolerances.
-
-    /// Wire cost of one hop between endpoints `dist` ranks apart in an
-    /// `n`-node cluster: the single-crossbar term, plus the cross-leaf
-    /// surcharge once the cluster is a Clos and the partner cannot share a
-    /// leaf, plus a second surcharge once the cluster is a three-level
-    /// Clos (`n > 1024`) and the partner lives in another 64-host pod —
-    /// the leaf→spine→core→spine→leaf route pays two more fall-throughs
-    /// and two more propagations than the in-pod leaf→spine→leaf route.
-    fn hop_us(&self, n: usize, dist: usize) -> f64 {
-        let pod_hosts = TopologyBuilder::CLOS_LEAF_HOSTS * TopologyBuilder::CLOS_LEAF_HOSTS;
-        let clos = n > TopologyBuilder::MAX_SINGLE_SWITCH_HOSTS;
-        let clos3 = n > TopologyBuilder::MAX_TWO_LEVEL_HOSTS;
-        if clos3 && dist >= pod_hosts {
-            self.network_us + 2.0 * self.cross_extra_us
-        } else if clos && dist >= TopologyBuilder::CLOS_LEAF_HOSTS {
-            self.network_us + self.cross_extra_us
-        } else {
-            self.network_us
-        }
-    }
+    // These extend Eqs. 1–2 to the fabric `TopologyBuilder::for_cluster`
+    // builds for `n` hosts: each is the per-fabric form below evaluated at
+    // `FabricModel::auto(n)`, whose distance tiers charge a round whose
+    // partner lives in another 8-host leaf `cross_extra_us` on the wire
+    // (twice across 64-host pods past 1024 hosts) and whose queueing
+    // excess is zero. The BENCH_scale study cross-checks every simulated
+    // point against these within stated tolerances.
 
     /// Scale-aware Eq. 2: NIC-based PE latency on the standard fabric.
     /// Round `k`'s partner is `2^k` ranks away, so the first
     /// `log2(leaf size)` rounds stay intra-leaf. Equals
     /// [`CostModel::nic_barrier_us`] for `n <= 16`.
     pub fn nic_pe_us(&self, n: usize) -> f64 {
-        let per_round: f64 = (0..Self::rounds(n))
-            .map(|k| self.hop_us(n, 1usize << k) + self.nic_recv_us + self.nic_step_us)
-            .sum();
-        self.send_us + per_round + self.rdma_us + self.hrecv_us
+        self.nic_pe_fabric_us(n, &FabricModel::auto(n))
     }
 
     /// Scale-aware Eq. 1: host-based PE latency on the standard fabric.
     pub fn host_pe_us(&self, n: usize) -> f64 {
-        (0..Self::rounds(n))
-            .map(|k| {
-                self.send_us
-                    + self.sdma_us
-                    + self.hop_us(n, 1usize << k)
-                    + self.recv_us
-                    + self.rdma_us
-                    + self.hrecv_us
-            })
-            .sum()
+        self.host_pe_fabric_us(n, &FabricModel::auto(n))
     }
 
     /// Scale-aware NIC dissemination latency at radix 2. Same round
@@ -280,16 +249,7 @@ impl CostModel {
     /// `radix = 2` this is term-for-term Eq. 2 with the PE hop distances,
     /// so it reduces exactly to [`CostModel::nic_dissemination_us`].
     pub fn nic_dissemination_radix_us(&self, n: usize, radix: usize) -> f64 {
-        let per_round: f64 = Self::kary_rounds(n, radix)
-            .into_iter()
-            .map(|(worst, arrivals)| {
-                self.hop_us(n, worst)
-                    + self.nic_recv_us
-                    + self.nic_step_us
-                    + (arrivals - 1) as f64 * (self.nic_recv_us + self.nic_step_us)
-            })
-            .sum();
-        self.send_us + per_round + self.rdma_us + self.hrecv_us
+        self.nic_dissemination_fabric_us(n, radix, &FabricModel::auto(n))
     }
 
     /// Scale-aware host dissemination latency at radix `radix`: each round
@@ -297,23 +257,7 @@ impl CostModel {
     /// arrival, with only the worst hop on the critical path. Reduces
     /// exactly to [`CostModel::host_dissemination_us`] at `radix = 2`.
     pub fn host_dissemination_radix_us(&self, n: usize, radix: usize) -> f64 {
-        Self::kary_rounds(n, radix)
-            .into_iter()
-            .map(|(worst, arrivals)| {
-                self.send_us
-                    + self.sdma_us
-                    + self.hop_us(n, worst)
-                    + self.recv_us
-                    + self.rdma_us
-                    + self.hrecv_us
-                    + (arrivals - 1) as f64
-                        * (self.send_us
-                            + self.sdma_us
-                            + self.recv_us
-                            + self.rdma_us
-                            + self.hrecv_us)
-            })
-            .sum()
+        self.host_dissemination_fabric_us(n, radix, &FabricModel::auto(n))
     }
 
     /// Depth of the `dim`-ary heap-shaped GB tree over `n` ranks: the
@@ -484,11 +428,12 @@ impl CostModel {
     /// (per-level absorptions and down-broadcast child sends along the
     /// deepest path).
     fn allreduce_base_us(&self, n: usize, dim: usize) -> f64 {
+        let fm = FabricModel::auto(n);
         let mut rank = n - 1;
         let mut per_level = 0.0;
         for fan in Self::tree_path_fanins(n, dim) {
             let parent = (rank - 1) / dim;
-            per_level += self.hop_us(n, rank - parent)
+            per_level += self.hop_fabric_us(&fm, rank - parent)
                 + fan as f64 * (self.nic_recv_us + self.gb_gather_us + self.gb_child_us);
             rank = parent;
         }
@@ -552,8 +497,8 @@ impl CostModel {
 
     // ---- Per-fabric forms (explicit fabrics beyond the default Clos) ----
     //
-    // The scale-aware forms above assume the default `for_cluster` fabric:
-    // non-blocking leaves, dispersed routes. A [`FabricModel`] re-shapes
+    // The scale-aware forms above are these on the default `for_cluster`
+    // fabric: non-blocking leaves, dispersed routes. A [`FabricModel`] re-shapes
     // the distance tiers (leaf and pod sizes come from the [`FabricSpec`])
     // and adds a wire-queueing excess: when a whole leaf sends cross-leaf
     // at once, `uplink_load` worms share each used uplink and the last one
@@ -564,7 +509,11 @@ impl CostModel {
     // forms on the default fabric.
 
     /// Wire cost of one hop between endpoints `dist` ranks apart on the
-    /// fabric `fm` describes: the shape-generalized [`CostModel::hop_us`].
+    /// fabric `fm` describes: the single-crossbar term, plus the cross-leaf
+    /// surcharge when the partner cannot share a leaf, plus a second
+    /// surcharge when it lives in another pod — the
+    /// leaf→spine→core→spine→leaf route pays two more fall-throughs and two
+    /// more propagations than the in-pod leaf→spine→leaf route.
     fn hop_fabric_us(&self, fm: &FabricModel, dist: usize) -> f64 {
         if fm.pod_hosts.is_some_and(|p| dist >= p) {
             self.network_us + 2.0 * self.cross_extra_us
@@ -576,8 +525,8 @@ impl CostModel {
     }
 
     /// Per-fabric Eq. 2: NIC PE latency on an explicit fabric. Cross-leaf
-    /// rounds pay the queueing excess on top of the tiered hop. Equals
-    /// [`CostModel::nic_pe_us`] on the default fabric (excess 0).
+    /// rounds pay the queueing excess on top of the tiered hop.
+    /// [`CostModel::nic_pe_us`] is this form on the default fabric.
     pub fn nic_pe_fabric_us(&self, n: usize, fm: &FabricModel) -> f64 {
         let per_round: f64 = (0..Self::rounds(n))
             .map(|k| {
@@ -1501,23 +1450,14 @@ mod tests {
     #[test]
     fn fabric_forms_reduce_to_base_forms_on_the_default_fabric() {
         // The default fabric's dispersed residual load is the calibration
-        // baseline, so its FabricModel must carry zero excess and every
-        // per-fabric form must equal the scale-aware form bit-exactly.
+        // baseline, so its FabricModel must carry zero excess: no round
+        // pays queueing, and the GB surcharges vanish bit-exactly.
         let m = model_43();
-        for n in [2usize, 16, 64, 100, 1000, 1024, 4096] {
+        for n in 2usize..=4096 {
             let fm = FabricModel::auto(n);
             assert_eq!(fm.excess_load, 0.0, "n={n}");
-            assert_eq!(m.nic_pe_fabric_us(n, &fm), m.nic_pe_us(n), "n={n}");
-            assert_eq!(m.host_pe_fabric_us(n, &fm), m.host_pe_us(n), "n={n}");
-            for radix in [2usize, 3, 4] {
-                assert_eq!(
-                    m.nic_dissemination_fabric_us(n, radix, &fm),
-                    m.nic_dissemination_radix_us(n, radix)
-                );
-                assert_eq!(
-                    m.host_dissemination_fabric_us(n, radix, &fm),
-                    m.host_dissemination_radix_us(n, radix)
-                );
+            for dist in 1..n {
+                assert_eq!(fm.queue_us(&m, dist), 0.0, "n={n} d={dist}");
             }
             for dim in [2usize, 4, 8] {
                 assert_eq!(m.nic_gb_fabric_us(n, dim, &fm), m.nic_gb_us(n, dim));
@@ -1599,13 +1539,13 @@ mod tests {
             };
             // Intra-leaf pair: 2 links, flat network term.
             assert_eq!(route_len(0, 7, &mut route), 2);
-            assert_eq!(m.hop_us(n, 7), m.network_us);
+            assert_eq!(m.hop_fabric_us(&fm, 7), m.network_us);
             // Cross-leaf pair: leaf→spine→leaf, 4 links, one surcharge.
             assert_eq!(route_len(0, 8, &mut route), 4);
-            assert_eq!(m.hop_us(n, 8), m.network_us + m.cross_extra_us);
+            assert_eq!(m.hop_fabric_us(&fm, 8), m.network_us + m.cross_extra_us);
             // Largest in-cluster distance stays two-level.
             assert_eq!(route_len(0, n - 1, &mut route), 4);
-            assert_eq!(m.hop_us(n, n - 1), m.network_us + m.cross_extra_us);
+            assert_eq!(m.hop_fabric_us(&fm, n - 1), m.network_us + m.cross_extra_us);
         }
     }
 

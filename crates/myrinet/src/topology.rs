@@ -601,30 +601,37 @@ impl Topology {
     /// NICs leaf-by-leaf (all the standard builders) yield contiguous
     /// NIC ranges per LP.
     pub fn partition_map(&self) -> PartitionMap {
-        let mut switch_of: Vec<Option<SwitchId>> = Vec::with_capacity(self.nics);
-        for n in 0..self.nics {
-            switch_of.push(self.attached_switch(NicId(n)));
-        }
-        let mut distinct: Vec<Option<SwitchId>> = Vec::new();
-        for &s in &switch_of {
-            if !distinct.contains(&s) {
-                distinct.push(s);
+        // One pass over the links finds each NIC's first cable to a switch
+        // (its `attached_switch`); a switch-indexed table then numbers the
+        // LPs. Unconnected NICs share the table's last slot, one LP.
+        let mut switch_of: Vec<Option<SwitchId>> = vec![None; self.nics];
+        for l in &self.links {
+            if let (Vertex::Nic(n), Vertex::Switch(s)) = (l.from, l.to) {
+                switch_of[n.0].get_or_insert(s);
             }
         }
-        if distinct.len() <= 1 {
+        let unattached = self.switch_count();
+        let mut lp_of_slot: Vec<Option<u32>> = vec![None; unattached + 1];
+        let mut count = 0u32;
+        let lp_of: Vec<u32> = switch_of
+            .iter()
+            .map(|s| {
+                *lp_of_slot[s.map_or(unattached, |s| s.0)].get_or_insert_with(|| {
+                    count += 1;
+                    count - 1
+                })
+            })
+            .collect();
+        if count <= 1 {
             // Single crossbar (or degenerate): per-NIC partitions.
             return PartitionMap {
                 lp_of: (0..self.nics as u32).collect(),
                 count: self.nics,
             };
         }
-        let lp_of = switch_of
-            .iter()
-            .map(|s| distinct.iter().position(|d| d == s).unwrap() as u32)
-            .collect();
         PartitionMap {
             lp_of,
-            count: distinct.len(),
+            count: count as usize,
         }
     }
 
@@ -1355,6 +1362,51 @@ mod tests {
         let t = TopologyBuilder::for_cluster(4096);
         assert_eq!(t.nic_count(), 4096);
         assert_eq!(t.switch_count(), 512 + 512 + 64);
+    }
+
+    /// The original `partition_map`: one [`Topology::attached_switch`]
+    /// scan over every link per NIC, LPs numbered by first appearance.
+    fn partition_map_by_scan(t: &Topology) -> PartitionMap {
+        let switch_of: Vec<Option<SwitchId>> = (0..t.nic_count())
+            .map(|n| t.attached_switch(NicId(n)))
+            .collect();
+        let mut distinct: Vec<Option<SwitchId>> = Vec::new();
+        for &s in &switch_of {
+            if !distinct.contains(&s) {
+                distinct.push(s);
+            }
+        }
+        if distinct.len() <= 1 {
+            return PartitionMap {
+                lp_of: (0..t.nic_count() as u32).collect(),
+                count: t.nic_count(),
+            };
+        }
+        let lp_of = switch_of
+            .iter()
+            .map(|s| distinct.iter().position(|d| d == s).unwrap() as u32)
+            .collect();
+        PartitionMap {
+            lp_of,
+            count: distinct.len(),
+        }
+    }
+
+    #[test]
+    fn partition_map_matches_the_per_nic_link_scan() {
+        for t in [
+            TopologyBuilder::single_switch(8),
+            TopologyBuilder::for_cluster(100),
+            TopologyBuilder::for_cluster(1000),
+            TopologyBuilder::for_cluster(4096),
+            TopologyBuilder::clos_oversub(8, 8, 4),
+            TopologyBuilder::fat_tree(8),
+        ] {
+            let fast = t.partition_map();
+            let scan = partition_map_by_scan(&t);
+            assert_eq!(fast.count, scan.count, "nics={}", t.nic_count());
+            assert_eq!(fast.lp_of, scan.lp_of, "nics={}", t.nic_count());
+        }
     }
 
     #[test]
