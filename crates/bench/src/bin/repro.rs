@@ -571,8 +571,14 @@ fn fuzzy_study(_smoke: bool) -> bool {
         "hidden (us)",
     ]);
     for compute in [0u64, 20, 40, 60, 80, 120] {
-        let blocking = FuzzyExperiment::new(8, compute, false).run().mean_us;
-        let fuzzy = FuzzyExperiment::new(8, compute, true).run().mean_us;
+        let blocking = FuzzyExperiment::new(8, compute, false)
+            .run()
+            .unwrap()
+            .mean_us;
+        let fuzzy = FuzzyExperiment::new(8, compute, true)
+            .run()
+            .unwrap()
+            .mean_us;
         t.row(vec![
             compute.to_string(),
             us(blocking),

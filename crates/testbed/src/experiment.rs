@@ -1,20 +1,21 @@
-//! Declarative barrier experiments.
+//! Declarative barrier experiments, all lowered onto one run core
+//! (`run_teams`; DESIGN.md §4.7).
 
-use gmsim_des::{Histogram, MetricSet, RunOutcome, SimRng, SimTime, Summary, TraceRecord, Tracer};
-use gmsim_gm::cluster::{Cluster, ClusterBuilder};
+use gmsim_des::{
+    Counter, Histogram, MetricSet, RunOutcome, SimRng, SimTime, Summary, TraceRecord, Tracer,
+};
+use gmsim_gm::cluster::{Cluster, ClusterBuilder, ProgramStart};
 use gmsim_gm::config::CollectiveWireMode;
 use gmsim_gm::{GlobalPort, GmConfig, GmEvent, HostCtx, HostProgram};
 use gmsim_lanai::NicModel;
 use gmsim_myrinet::{FabricSpec, FaultPlan, RoutePolicy};
 use nic_barrier::nic::{TURNAROUND_BINS, TURNAROUND_BIN_US};
-use nic_barrier::programs::{decode_note, decode_team_note, MultiTeamBarrierLoop, NicBarrierLoop};
+use nic_barrier::programs::{decode_team_note, MultiTeamBarrierLoop, NicBarrierLoop};
 use nic_barrier::{
     BarrierCosts, BarrierExtension, BarrierGroup, Descriptor, DescriptorError, HostBarrierLoop,
     Team, TeamId,
 };
 use std::fmt;
-
-use gmsim_des::Counter;
 
 /// Which barrier implementation to measure: a collective algorithm
 /// [`Descriptor`], interpreted either by the NIC firmware extension (the
@@ -235,6 +236,149 @@ impl fmt::Display for ExperimentError {
 
 impl std::error::Error for ExperimentError {}
 
+/// The sizing rules every experiment shares: at least one process and one
+/// round, and a warmup that leaves at least one measured gap
+/// (`warmup <= rounds - 2`).
+pub(crate) fn check_workload(
+    procs: usize,
+    rounds: u64,
+    warmup: u64,
+) -> Result<(), ExperimentError> {
+    if procs == 0 {
+        return Err(ExperimentError::ZeroProcs);
+    }
+    if rounds == 0 {
+        return Err(ExperimentError::ZeroRounds);
+    }
+    if warmup >= rounds - 1 {
+        return Err(ExperimentError::WarmupNotBelowRounds { rounds, warmup });
+    }
+    Ok(())
+}
+
+/// The cluster half of a run: everything [`run_teams`] assembles before
+/// any program starts. `None` means perfect links and no trace; `threads
+/// <= 1` runs the serial engine.
+pub(crate) struct ClusterSpec {
+    pub nodes: usize,
+    pub config: GmConfig,
+    pub fabric: FabricSpec,
+    pub routing: RoutePolicy,
+    pub costs: BarrierCosts,
+    pub faults: Option<(FaultPlan, u64)>,
+    pub trace_capacity: Option<usize>,
+    pub threads: usize,
+}
+
+impl ClusterSpec {
+    /// `nodes` nodes on the auto-scaled fabric with dispersed routes: no
+    /// faults, no trace, serial engine.
+    pub(crate) fn new(nodes: usize, config: GmConfig, costs: BarrierCosts) -> Self {
+        ClusterSpec {
+            nodes,
+            config,
+            fabric: FabricSpec::Auto,
+            routing: RoutePolicy::Dispersed,
+            costs,
+            faults: None,
+            trace_capacity: None,
+            threads: 1,
+        }
+    }
+}
+
+/// What [`run_teams`] hands back to the experiment that reduces it.
+/// `round_done[t][r]` is when the last member of job `t` completed round `r`.
+struct TeamRun {
+    round_done: Vec<Vec<SimTime>>,
+    events: u64,
+    metrics: MetricSet,
+    nic_turnaround: Histogram,
+    trace: Vec<TraceRecord>,
+}
+
+/// The one run path behind every experiment: assemble the cluster, start
+/// `programs` in order, run to quiescence on the requested engine, and
+/// collect the round completions of each `(team, members)` job in `teams`.
+/// Every team runs `rounds` rounds, each of which must complete on all of
+/// its members.
+///
+/// # Errors
+/// [`ExperimentError::Hung`], then the first dead connection as
+/// [`ExperimentError::PeerUnreachable`] (the firmware *reported* giving up,
+/// a stronger diagnosis than an incomplete round), then the first
+/// [`ExperimentError::IncompleteRound`].
+fn run_teams(
+    spec: ClusterSpec,
+    programs: Vec<ProgramStart>,
+    teams: &[(TeamId, usize)],
+    rounds: u64,
+) -> Result<TeamRun, ExperimentError> {
+    let mut builder = ClusterBuilder::new(spec.nodes)
+        .config(spec.config)
+        .topology(spec.fabric.build(spec.nodes, spec.routing))
+        .extension(BarrierExtension::factory_with_costs(spec.costs));
+    if let Some((plan, seed)) = spec.faults {
+        builder = builder.faults(plan, seed);
+    }
+    if let Some(capacity) = spec.trace_capacity {
+        builder = builder.tracer(Tracer::bounded(capacity));
+    }
+    for (port, program, start) in programs {
+        builder = builder.program(port, program, start);
+    }
+    // Both engines return identical worlds; the choice is wall-clock only.
+    let (outcome, events, cluster) = if spec.threads > 1 {
+        let mut sim = builder.build_parallel(spec.threads);
+        (sim.run(), sim.events_fired(), sim.into_world())
+    } else {
+        let mut sim = builder.build();
+        (sim.run(), sim.events_fired(), sim.into_world())
+    };
+    if outcome != RunOutcome::Quiescent {
+        return Err(ExperimentError::Hung { outcome });
+    }
+    for (node, n) in cluster.nodes.iter().enumerate() {
+        if let Some(conn) = n.mcp.core.connections().find(|c| c.is_dead()) {
+            return Err(ExperimentError::PeerUnreachable {
+                node: node as u32,
+                peer: conn.peer().0 as u32,
+            });
+        }
+    }
+
+    // A team's round completes when its *last* member's note lands.
+    let mut round_done = vec![vec![SimTime::ZERO; rounds as usize]; teams.len()];
+    let mut counts = vec![vec![0u64; rounds as usize]; teams.len()];
+    for note in &cluster.notes {
+        if let Some((id, round)) = decode_team_note(note.tag) {
+            if let Some(t) = teams.iter().position(|&(team, _)| team == id) {
+                let r = round as usize;
+                round_done[t][r] = round_done[t][r].max(note.at);
+                counts[t][r] += 1;
+            }
+        }
+    }
+    for (&(_, members), counts) in teams.iter().zip(&counts) {
+        let expected = members as u64;
+        if let Some(r) = counts.iter().position(|&c| c != expected) {
+            return Err(ExperimentError::IncompleteRound {
+                round: r as u64,
+                completed: counts[r],
+                expected,
+            });
+        }
+    }
+    let (metrics, nic_turnaround) = collect_metrics(&cluster);
+    Ok(TeamRun {
+        round_done,
+        events,
+        metrics,
+        nic_turnaround,
+        trace: cluster.tracer.snapshot(),
+    })
+}
+
 /// One barrier-latency experiment.
 ///
 /// ```
@@ -443,18 +587,7 @@ impl BarrierExperiment {
 
     /// Check the configuration without running anything.
     pub fn validate(&self) -> Result<(), ExperimentError> {
-        if self.procs == 0 {
-            return Err(ExperimentError::ZeroProcs);
-        }
-        if self.rounds == 0 {
-            return Err(ExperimentError::ZeroRounds);
-        }
-        if self.warmup + 1 >= self.rounds {
-            return Err(ExperimentError::WarmupNotBelowRounds {
-                rounds: self.rounds,
-                warmup: self.warmup,
-            });
-        }
+        check_workload(self.procs, self.rounds, self.warmup)?;
         // Descriptors built through the named constructors are always
         // valid; re-checking here is defense in depth for descriptors
         // deserialized or constructed inside the core crate.
@@ -514,132 +647,53 @@ impl BarrierExperiment {
         }
     }
 
-    fn make_program(&self, group: &BarrierGroup, rank: usize) -> Box<dyn HostProgram> {
-        let team = Team::new(self.team, group.clone());
-        match self.algorithm {
-            Algorithm::Nic(desc) => {
-                Box::new(NicBarrierLoop::for_team(&team, rank, desc, self.rounds))
-            }
-            Algorithm::Host(desc) => {
-                Box::new(HostBarrierLoop::for_team(&team, rank, desc, self.rounds))
-            }
-        }
-    }
-
     /// Run the experiment to completion and aggregate the measurement.
     ///
     /// # Errors
     /// Configuration errors ([`BarrierExperiment::validate`]) are returned
-    /// before anything runs; [`ExperimentError::Hung`] and
+    /// before anything runs; [`ExperimentError::Hung`],
+    /// [`ExperimentError::PeerUnreachable`] and
     /// [`ExperimentError::IncompleteRound`] report a simulation that
     /// failed to synchronize.
     pub fn run(&self) -> Result<Measurement, ExperimentError> {
         self.validate()?;
-        let group = self.group();
-        let mut config = GmConfig::paper_host(self.nic).with_layer_overhead(self.layer_factor);
-        config.collective_wire = self.wire;
-        config.same_nic_optimization = self.same_nic_opt;
-        if let Some(tokens) = self.send_tokens {
-            config.send_tokens_per_port = tokens;
-        }
-        let nodes = self.node_count();
-        // Auto: one crossbar for paper-sized clusters, a two-level Clos
-        // beyond 16 hosts — shared with the analytic model's fabric
-        // assumptions. Explicit specs cable exactly what they say.
-        let topology = self.fabric.build(nodes, self.routing);
-        let mut builder = ClusterBuilder::new(nodes)
-            .config(config)
-            .topology(topology)
-            .extension(BarrierExtension::factory_with_costs(self.costs));
-        if !self.fault_plan.is_none() {
-            builder = builder.faults(self.fault_plan, self.seed);
-        }
-        if let Some(capacity) = self.trace_capacity {
-            builder = builder.tracer(Tracer::bounded(capacity));
-        }
-        let mut rng = SimRng::new(self.seed);
+        let team = Team::new(self.team, self.group());
+        let (rounds, mut rng) = (self.rounds, SimRng::new(self.seed));
+        let mut programs: Vec<ProgramStart> = Vec::with_capacity(self.procs);
         for rank in 0..self.procs {
             let start = if self.max_skew_us == 0 {
                 SimTime::ZERO
             } else {
                 SimTime::from_us(rng.below(self.max_skew_us + 1))
             };
-            builder = builder.program(group.member(rank), self.make_program(&group, rank), start);
+            let program: Box<dyn HostProgram> = match self.algorithm {
+                Algorithm::Nic(d) => Box::new(NicBarrierLoop::for_team(&team, rank, d, rounds)),
+                Algorithm::Host(d) => Box::new(HostBarrierLoop::for_team(&team, rank, d, rounds)),
+            };
+            programs.push((team.member(rank), program, start));
         }
-        let (outcome, events, cluster) = run_cluster(builder, self.parallel);
-        if outcome != RunOutcome::Quiescent {
-            return Err(ExperimentError::Hung { outcome });
+        let mut config = GmConfig::paper_host(self.nic).with_layer_overhead(self.layer_factor);
+        config.collective_wire = self.wire;
+        config.same_nic_optimization = self.same_nic_opt;
+        if let Some(tokens) = self.send_tokens {
+            config.send_tokens_per_port = tokens;
         }
-
-        // A dead connection is a stronger diagnosis than an incomplete
-        // round: the firmware *reported* giving up, so surface that first.
-        for (node, n) in cluster.nodes.iter().enumerate() {
-            if let Some(conn) = n.mcp.core.connections().find(|c| c.is_dead()) {
-                return Err(ExperimentError::PeerUnreachable {
-                    node: node as u32,
-                    peer: conn.peer().0 as u32,
-                });
-            }
-        }
-
-        // A round completes when its *last* participant's completion note
-        // lands; consecutive-barrier latency is the gap between rounds.
-        let mut round_done = vec![SimTime::ZERO; self.rounds as usize];
-        let mut counts = vec![0u64; self.rounds as usize];
-        for note in &cluster.notes {
-            if let Some(round) = decode_note(note.tag) {
-                let r = round as usize;
-                round_done[r] = round_done[r].max(note.at);
-                counts[r] += 1;
-            }
-        }
-        for (r, &c) in counts.iter().enumerate() {
-            if c != self.procs as u64 {
-                return Err(ExperimentError::IncompleteRound {
-                    round: r as u64,
-                    completed: c,
-                    expected: self.procs as u64,
-                });
-            }
-        }
-        let mut per_round = Summary::new();
-        for r in (self.warmup as usize + 1)..self.rounds as usize {
-            per_round.record((round_done[r] - round_done[r - 1]).as_us_f64());
-        }
-        let span = round_done[self.rounds as usize - 1] - round_done[self.warmup as usize];
-        let measured_rounds = self.rounds - self.warmup - 1;
-        let (metrics, nic_turnaround) = collect_metrics(&cluster);
-        Ok(Measurement {
-            mean_us: span.as_us_f64() / measured_rounds as f64,
-            first_round_us: round_done[0].as_us_f64(),
-            per_round,
-            events,
-            metrics,
-            nic_turnaround,
-            trace: cluster.tracer.snapshot(),
-        })
-    }
-}
-
-/// Build and run the assembled cluster on the requested engine: the serial
-/// scheduler for `threads <= 1`, the conservative parallel engine
-/// otherwise. Both return identical worlds — the choice is wall-clock only.
-pub(crate) fn run_cluster(builder: ClusterBuilder, threads: usize) -> (RunOutcome, u64, Cluster) {
-    if threads > 1 {
-        let mut sim = builder.build_parallel(threads);
-        let outcome = sim.run();
-        (outcome, sim.events_fired(), sim.into_world())
-    } else {
-        let mut sim = builder.build();
-        let outcome = sim.run();
-        (outcome, sim.events_fired(), sim.into_world())
+        let spec = ClusterSpec {
+            fabric: self.fabric,
+            routing: self.routing,
+            faults: (!self.fault_plan.is_none()).then_some((self.fault_plan, self.seed)),
+            trace_capacity: self.trace_capacity,
+            threads: self.parallel,
+            ..ClusterSpec::new(self.node_count(), config, self.costs)
+        };
+        run_one_team(spec, programs, self.team, rounds, self.warmup)
     }
 }
 
 /// Aggregate the cluster's per-component statistics into one [`MetricSet`]
 /// plus the merged per-packet NIC-turnaround histogram. Purely post-run:
 /// nothing here touches the simulation hot path.
-pub(crate) fn collect_metrics(cluster: &Cluster) -> (MetricSet, Histogram) {
+fn collect_metrics(cluster: &Cluster) -> (MetricSet, Histogram) {
     let mut m = MetricSet::new();
     let fabric = cluster.fabric.stats();
     m.add(Counter::PacketsSent, fabric.sends);
@@ -663,12 +717,10 @@ pub(crate) fn collect_metrics(cluster: &Cluster) -> (MetricSet, Histogram) {
         m.add(Counter::TimerCancels, stats.timer_cancels);
         m.add(Counter::GaveUp, stats.gave_up);
         m.add(Counter::CompletionDmas, stats.host_events);
-        m.add(
-            Counter::FirmwareCycles,
-            node.mcp.core.hw.cpu.executed_cycles(),
-        );
-        m.add(Counter::SdmaBytes, node.mcp.core.hw.sdma.bytes());
-        m.add(Counter::RdmaBytes, node.mcp.core.hw.rdma.bytes());
+        let hw = &node.mcp.core.hw;
+        m.add(Counter::FirmwareCycles, hw.cpu.executed_cycles());
+        m.add(Counter::SdmaBytes, hw.sdma.bytes());
+        m.add(Counter::RdmaBytes, hw.rdma.bytes());
         m.add(Counter::HostSends, node.host.stats.sends);
         m.add(Counter::HostEvents, node.host.stats.events);
         if let Some(ext) = node.mcp.ext().as_any().downcast_ref::<BarrierExtension>() {
@@ -712,6 +764,35 @@ pub struct Measurement {
     pub trace: Vec<TraceRecord>,
 }
 
+/// Run one team of `programs.len()` members through [`run_teams`] and
+/// reduce it: the mean is the span from round `warmup`'s completion to the
+/// last round's, divided by the measured rounds.
+pub(crate) fn run_one_team(
+    spec: ClusterSpec,
+    programs: Vec<ProgramStart>,
+    team: TeamId,
+    rounds: u64,
+    warmup: u64,
+) -> Result<Measurement, ExperimentError> {
+    let members = programs.len();
+    let run = run_teams(spec, programs, &[(team, members)], rounds)?;
+    let measured = &run.round_done[0][warmup as usize..];
+    let mut per_round = Summary::new();
+    for w in measured.windows(2) {
+        per_round.record((w[1] - w[0]).as_us_f64());
+    }
+    let span = measured[measured.len() - 1] - measured[0];
+    Ok(Measurement {
+        mean_us: span.as_us_f64() / (measured.len() - 1) as f64,
+        first_round_us: run.round_done[0][0].as_us_f64(),
+        per_round,
+        events: run.events,
+        metrics: run.metrics,
+        nic_turnaround: run.nic_turnaround,
+        trace: run.trace,
+    })
+}
+
 /// Where one team landed: its id and the nodes hosting its members, in
 /// team-rank order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -728,26 +809,27 @@ pub struct TeamPlacement {
 struct BackgroundTraffic {
     peer: GlobalPort,
     remaining: u64,
-    expected: u32,
-    len: usize,
 }
 
 /// Tag background messages so they never collide with anything meaningful.
 const BACKGROUND_TAG: u64 = 0xB0 << 32;
+/// Messages each node sends to its ring neighbor, and their length in bytes.
+const BACKGROUND_MESSAGES: u64 = 200;
+const BACKGROUND_LEN: usize = 512;
 
 impl HostProgram for BackgroundTraffic {
     fn on_start(&mut self, ctx: &mut HostCtx) {
-        ctx.provide_recv(self.expected);
+        ctx.provide_recv(BACKGROUND_MESSAGES as u32);
         if self.remaining > 0 {
             self.remaining -= 1;
-            ctx.send_notify(self.peer, self.len, BACKGROUND_TAG);
+            ctx.send_notify(self.peer, BACKGROUND_LEN, BACKGROUND_TAG);
         }
     }
 
     fn on_event(&mut self, ev: &GmEvent, ctx: &mut HostCtx) {
         if matches!(ev, GmEvent::Sent { .. }) && self.remaining > 0 {
             self.remaining -= 1;
-            ctx.send_notify(self.peer, self.len, BACKGROUND_TAG);
+            ctx.send_notify(self.peer, BACKGROUND_LEN, BACKGROUND_TAG);
         }
     }
 }
@@ -776,16 +858,13 @@ pub struct MultiTenantExperiment {
     pub warmup: u64,
     /// Seed for placement (and the skewless deterministic schedule).
     pub seed: u64,
-    /// Run background point-to-point traffic on a second port per node.
+    /// Run background point-to-point traffic on a second port per node:
+    /// each node sends 200 messages of 512 bytes to its ring neighbor.
     pub background: bool,
-    /// Background messages each node sends to its ring neighbor.
-    pub background_messages: u64,
     /// NIC hardware model.
     pub nic: NicModel,
     /// Firmware extension cost table.
     pub costs: BarrierCosts,
-    /// Worker threads for the parallel engine (`<= 1` = serial).
-    pub parallel: usize,
 }
 
 impl MultiTenantExperiment {
@@ -800,19 +879,9 @@ impl MultiTenantExperiment {
             warmup: 10,
             seed: 42,
             background: false,
-            background_messages: 200,
             nic: NicModel::LANAI_4_3,
             costs: BarrierCosts::GM_1_2_3,
-            parallel: 1,
         }
-    }
-
-    /// Run on `threads` worker threads (bit-identical results; wall-clock
-    /// only).
-    #[must_use]
-    pub fn parallel(mut self, threads: usize) -> Self {
-        self.parallel = threads;
-        self
     }
 
     /// Override the team-size range (inclusive).
@@ -854,18 +923,7 @@ impl MultiTenantExperiment {
 
     /// Check the configuration without running anything.
     pub fn validate(&self) -> Result<(), ExperimentError> {
-        if self.nodes == 0 || self.teams == 0 {
-            return Err(ExperimentError::ZeroProcs);
-        }
-        if self.rounds == 0 {
-            return Err(ExperimentError::ZeroRounds);
-        }
-        if self.warmup + 1 >= self.rounds {
-            return Err(ExperimentError::WarmupNotBelowRounds {
-                rounds: self.rounds,
-                warmup: self.warmup,
-            });
-        }
+        check_workload(self.nodes.min(self.teams), self.rounds, self.warmup)?;
         if self.min_team < 2 || self.min_team > self.max_team || self.max_team > self.nodes {
             return Err(ExperimentError::InvalidTeamSizes {
                 min: self.min_team,
@@ -878,11 +936,15 @@ impl MultiTenantExperiment {
 
     /// The deterministic placement this experiment runs: team `i` gets id
     /// `TeamId(1 + i)` and a seeded random subset of nodes.
-    pub fn placement(&self) -> Vec<TeamPlacement> {
+    ///
+    /// # Errors
+    /// The configuration errors of [`MultiTenantExperiment::validate`].
+    pub fn placement(&self) -> Result<Vec<TeamPlacement>, ExperimentError> {
+        self.validate()?;
         let mut rng = SimRng::new(self.seed ^ 0x7EA5);
         let mut scratch: Vec<usize> = (0..self.nodes).collect();
         let span = (self.max_team - self.min_team + 1) as u64;
-        (0..self.teams)
+        Ok((0..self.teams)
             .map(|i| {
                 let size = self.min_team + rng.below(span) as usize;
                 // Partial Fisher–Yates: the first `size` entries become a
@@ -898,7 +960,7 @@ impl MultiTenantExperiment {
                     members,
                 }
             })
-            .collect()
+            .collect())
     }
 
     /// Run every team's barrier loop concurrently and aggregate per-team
@@ -909,127 +971,79 @@ impl MultiTenantExperiment {
     /// [`ExperimentError::Hung`], [`ExperimentError::TeamPeerUnreachable`]
     /// and [`ExperimentError::IncompleteRound`] report runtime failures.
     pub fn run(&self) -> Result<MultiTenantMeasurement, ExperimentError> {
-        self.validate()?;
-        let placements = self.placement();
-        let config = GmConfig::paper_host(self.nic);
-        let topology = gmsim_myrinet::TopologyBuilder::for_cluster(self.nodes);
-        let mut builder = ClusterBuilder::new(self.nodes)
-            .config(config)
-            .topology(topology)
-            .extension(BarrierExtension::factory_with_costs(self.costs));
-
+        let placements = self.placement()?;
         // One MultiTeamBarrierLoop per node drives all of that node's team
         // memberships on port 1 — overlapping teams share the extension.
         let mut loops: Vec<MultiTeamBarrierLoop> = (0..self.nodes)
             .map(|_| MultiTeamBarrierLoop::new())
             .collect();
         for placement in &placements {
-            let group = BarrierGroup::new(
-                placement
-                    .members
-                    .iter()
-                    .map(|&n| GlobalPort::new(n, 1))
-                    .collect(),
-            );
-            let team = Team::new(placement.id, group);
+            let members = placement.members.iter().map(|&n| GlobalPort::new(n, 1));
+            let team = Team::new(placement.id, BarrierGroup::new(members.collect()));
             for (rank, &node) in placement.members.iter().enumerate() {
                 loops[node].push(&team, rank, Descriptor::Pe, self.rounds);
             }
         }
+        let mut programs: Vec<ProgramStart> = Vec::new();
         for (node, barrier_loop) in loops.into_iter().enumerate() {
             if !barrier_loop.is_empty() {
-                builder = builder.program(
+                programs.push((
                     GlobalPort::new(node, 1),
                     Box::new(barrier_loop),
                     SimTime::ZERO,
-                );
+                ));
             }
         }
         if self.background && self.nodes > 1 {
             for node in 0..self.nodes {
                 let traffic = BackgroundTraffic {
                     peer: GlobalPort::new((node + 1) % self.nodes, 2),
-                    remaining: self.background_messages,
-                    expected: self.background_messages as u32,
-                    len: 512,
+                    remaining: BACKGROUND_MESSAGES,
                 };
-                builder =
-                    builder.program(GlobalPort::new(node, 2), Box::new(traffic), SimTime::ZERO);
+                programs.push((GlobalPort::new(node, 2), Box::new(traffic), SimTime::ZERO));
             }
         }
+        let jobs: Vec<(TeamId, usize)> =
+            placements.iter().map(|p| (p.id, p.members.len())).collect();
+        let spec = ClusterSpec::new(self.nodes, GmConfig::paper_host(self.nic), self.costs);
+        let run = run_teams(spec, programs, &jobs, self.rounds).map_err(|err| match err {
+            // Attribute a dead connection to the first team its node serves.
+            ExperimentError::PeerUnreachable { node, .. } => placements
+                .iter()
+                .find_map(|p| Some((p.id, p.members.iter().position(|&m| m == node as usize)?)))
+                .map_or(err, |(team, rank)| ExperimentError::TeamPeerUnreachable {
+                    team,
+                    rank: rank as u32,
+                }),
+            other => other,
+        })?;
 
-        let (outcome, events, cluster) = run_cluster(builder, self.parallel);
-        if outcome != RunOutcome::Quiescent {
-            return Err(ExperimentError::Hung { outcome });
-        }
-
-        for (node, n) in cluster.nodes.iter().enumerate() {
-            if let Some(conn) = n.mcp.core.connections().find(|c| c.is_dead()) {
-                // Attribute the failure to the first team the node serves.
-                for placement in &placements {
-                    if let Some(rank) = placement.members.iter().position(|&m| m == node) {
-                        return Err(ExperimentError::TeamPeerUnreachable {
-                            team: placement.id,
-                            rank: rank as u32,
-                        });
-                    }
-                }
-                return Err(ExperimentError::PeerUnreachable {
-                    node: node as u32,
-                    peer: conn.peer().0 as u32,
-                });
-            }
-        }
-
-        // Per-team round completion: a team's round is done when its last
-        // member's note lands; the gap between rounds is that team's
+        // Each team's gaps between consecutive rounds are its
         // consecutive-barrier latency under contention.
-        let rounds = self.rounds as usize;
-        let mut round_done = vec![vec![SimTime::ZERO; rounds]; self.teams];
-        let mut counts = vec![vec![0u64; rounds]; self.teams];
-        for note in &cluster.notes {
-            if let Some((team, round)) = decode_team_note(note.tag) {
-                let t = (team.0 - 1) as usize;
-                let r = round as usize;
-                round_done[t][r] = round_done[t][r].max(note.at);
-                counts[t][r] += 1;
-            }
-        }
-        let mut per_team_mean_us = Vec::with_capacity(self.teams);
         let mut gaps: Vec<f64> = Vec::new();
-        for (t, placement) in placements.iter().enumerate() {
-            let expected = placement.members.len() as u64;
-            for (r, &c) in counts[t].iter().enumerate() {
-                if c != expected {
-                    return Err(ExperimentError::IncompleteRound {
-                        round: r as u64,
-                        completed: c,
-                        expected,
-                    });
-                }
-            }
-            let mut team_sum = 0.0;
-            let mut team_rounds = 0u64;
-            for r in (self.warmup as usize + 1)..rounds {
-                let gap = (round_done[t][r] - round_done[t][r - 1]).as_us_f64();
-                gaps.push(gap);
-                team_sum += gap;
-                team_rounds += 1;
-            }
-            per_team_mean_us.push(team_sum / team_rounds as f64);
-        }
+        let per_team_mean_us = run
+            .round_done
+            .iter()
+            .map(|done| {
+                let team: Vec<f64> = done[self.warmup as usize..]
+                    .windows(2)
+                    .map(|w| (w[1] - w[0]).as_us_f64())
+                    .collect();
+                gaps.extend_from_slice(&team);
+                team.iter().sum::<f64>() / team.len() as f64
+            })
+            .collect();
         gaps.sort_unstable_by(|a, b| a.partial_cmp(b).expect("gap is never NaN"));
         let mean_us = gaps.iter().sum::<f64>() / gaps.len() as f64;
         let p99_us = gaps[((gaps.len() - 1) as f64 * 0.99).ceil() as usize];
-        let (metrics, _) = collect_metrics(&cluster);
         Ok(MultiTenantMeasurement {
             nodes: self.nodes,
             teams: self.teams,
             mean_us,
             p99_us,
             per_team_mean_us,
-            events,
-            metrics,
+            events: run.events,
+            metrics: run.metrics,
         })
     }
 }
@@ -1332,8 +1346,8 @@ mod tests {
     #[test]
     fn multitenant_placement_is_deterministic_and_in_bounds() {
         let e = MultiTenantExperiment::new(16, 20).team_sizes(2, 5);
-        let a = e.placement();
-        let b = e.placement();
+        let a = e.placement().unwrap();
+        let b = e.placement().unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 20);
         for (i, p) in a.iter().enumerate() {
@@ -1345,6 +1359,25 @@ mod tests {
         // mixed sizes actually occur
         let sizes: Vec<usize> = a.iter().map(|p| p.members.len()).collect();
         assert!(sizes.iter().any(|&s| s != sizes[0]), "{sizes:?}");
+    }
+
+    #[test]
+    fn multitenant_placement_rejects_bad_sizes_instead_of_panicking() {
+        use ExperimentError as E;
+        assert_eq!(
+            MultiTenantExperiment::new(4, 2)
+                .team_sizes(3, 2)
+                .placement(),
+            Err(E::InvalidTeamSizes {
+                min: 3,
+                max: 2,
+                nodes: 4
+            })
+        );
+        assert_eq!(
+            MultiTenantExperiment::new(0, 2).placement(),
+            Err(E::ZeroProcs)
+        );
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! * **blocking** — compute, then synchronize; the period approaches
 //!   `compute + barrier`.
 
-use crate::experiment::{collect_metrics, Measurement};
-use gmsim_des::{RunOutcome, SimTime, Summary};
-use gmsim_gm::cluster::ClusterBuilder;
+use crate::experiment::{check_workload, run_one_team, ClusterSpec, ExperimentError, Measurement};
+use gmsim_des::SimTime;
+use gmsim_gm::cluster::ProgramStart;
 use gmsim_gm::GmConfig;
 use gmsim_lanai::NicModel;
-use nic_barrier::programs::decode_note;
-use nic_barrier::{BarrierExtension, BarrierGroup, FuzzyBarrierLoop};
+use nic_barrier::{BarrierCosts, BarrierGroup, FuzzyBarrierLoop, TeamId};
 
 /// Configuration of one fuzzy-barrier run.
 #[derive(Debug, Clone, Copy)]
@@ -48,50 +47,31 @@ impl FuzzyExperiment {
         }
     }
 
-    /// Run and return the steady-state per-round period.
-    pub fn run(&self) -> Measurement {
+    /// Check the configuration without running anything.
+    pub fn validate(&self) -> Result<(), ExperimentError> {
+        check_workload(self.procs, self.rounds, self.warmup)
+    }
+
+    /// Run and return the steady-state per-round period: one global team
+    /// of [`FuzzyBarrierLoop`]s, reduced like a [`crate::BarrierExperiment`].
+    ///
+    /// # Errors
+    /// Configuration errors ([`FuzzyExperiment::validate`]) before anything
+    /// runs; the run core's runtime failures after.
+    pub fn run(&self) -> Result<Measurement, ExperimentError> {
+        self.validate()?;
         let group = BarrierGroup::one_per_node(self.procs, 1);
-        let mut builder = ClusterBuilder::new(self.procs)
-            .config(GmConfig::paper_host(self.nic))
-            .extension(BarrierExtension::factory());
-        for rank in 0..self.procs {
-            builder = builder.program(
-                group.member(rank),
-                Box::new(FuzzyBarrierLoop::new(
-                    group.clone(),
-                    rank,
-                    self.rounds,
-                    SimTime::from_us(self.compute_us),
-                    self.overlap,
-                )),
-                SimTime::ZERO,
-            );
-        }
-        let mut sim = builder.build();
-        assert_eq!(sim.run(), RunOutcome::Quiescent, "fuzzy run hung: {self:?}");
-        let cluster = sim.into_world();
-        let mut round_done = vec![SimTime::ZERO; self.rounds as usize];
-        for note in &cluster.notes {
-            if let Some(round) = decode_note(note.tag) {
-                let r = round as usize;
-                round_done[r] = round_done[r].max(note.at);
-            }
-        }
-        let mut per_round = Summary::new();
-        for r in (self.warmup as usize + 1)..self.rounds as usize {
-            per_round.record((round_done[r] - round_done[r - 1]).as_us_f64());
-        }
-        let span = round_done[self.rounds as usize - 1] - round_done[self.warmup as usize];
-        let (metrics, nic_turnaround) = collect_metrics(&cluster);
-        Measurement {
-            mean_us: span.as_us_f64() / (self.rounds - self.warmup - 1) as f64,
-            first_round_us: round_done[0].as_us_f64(),
-            per_round,
-            events: 0,
-            metrics,
-            nic_turnaround,
-            trace: cluster.tracer.snapshot(),
-        }
+        let compute = SimTime::from_us(self.compute_us);
+        let programs: Vec<ProgramStart> = (0..self.procs)
+            .map(|rank| {
+                let program =
+                    FuzzyBarrierLoop::new(group.clone(), rank, self.rounds, compute, self.overlap);
+                (group.member(rank), Box::new(program) as _, SimTime::ZERO)
+            })
+            .collect();
+        let config = GmConfig::paper_host(self.nic);
+        let spec = ClusterSpec::new(self.procs, config, BarrierCosts::GM_1_2_3);
+        run_one_team(spec, programs, TeamId::GLOBAL, self.rounds, self.warmup)
     }
 }
 
@@ -104,9 +84,9 @@ mod tests {
         // Compute smaller than the barrier latency: the fuzzy period should
         // stay close to the pure barrier latency, while blocking pays
         // compute + barrier.
-        let barrier_only = FuzzyExperiment::new(8, 0, true).run().mean_us;
-        let fuzzy = FuzzyExperiment::new(8, 40, true).run().mean_us;
-        let blocking = FuzzyExperiment::new(8, 40, false).run().mean_us;
+        let barrier_only = FuzzyExperiment::new(8, 0, true).run().unwrap().mean_us;
+        let fuzzy = FuzzyExperiment::new(8, 40, true).run().unwrap().mean_us;
+        let blocking = FuzzyExperiment::new(8, 40, false).run().unwrap().mean_us;
         assert!(
             fuzzy < blocking,
             "fuzzy {fuzzy:.1} must beat blocking {blocking:.1}"
@@ -124,8 +104,8 @@ mod tests {
     fn big_compute_dominates_both_modes() {
         // Compute far larger than the barrier: both periods ≈ compute, and
         // overlap hides (almost) the whole barrier.
-        let fuzzy = FuzzyExperiment::new(4, 1_000, true).run().mean_us;
-        let blocking = FuzzyExperiment::new(4, 1_000, false).run().mean_us;
+        let fuzzy = FuzzyExperiment::new(4, 1_000, true).run().unwrap().mean_us;
+        let blocking = FuzzyExperiment::new(4, 1_000, false).run().unwrap().mean_us;
         assert!(fuzzy >= 1_000.0);
         assert!(blocking > fuzzy);
         assert!(
@@ -135,9 +115,35 @@ mod tests {
     }
 
     #[test]
+    fn events_are_counted() {
+        let m = FuzzyExperiment::new(4, 20, true).run().unwrap();
+        assert!(m.events > 0);
+    }
+
+    #[test]
+    fn invalid_rounds_are_errors_not_panics() {
+        let mut e = FuzzyExperiment::new(4, 20, true);
+        e.rounds = 0;
+        assert_eq!(e.run().unwrap_err(), ExperimentError::ZeroRounds);
+        e.rounds = 10;
+        e.warmup = 9;
+        assert_eq!(
+            e.run().unwrap_err(),
+            ExperimentError::WarmupNotBelowRounds {
+                rounds: 10,
+                warmup: 9
+            }
+        );
+        assert_eq!(
+            FuzzyExperiment::new(0, 20, true).run().unwrap_err(),
+            ExperimentError::ZeroProcs
+        );
+    }
+
+    #[test]
     fn zero_compute_modes_agree() {
-        let a = FuzzyExperiment::new(4, 0, true).run().mean_us;
-        let b = FuzzyExperiment::new(4, 0, false).run().mean_us;
+        let a = FuzzyExperiment::new(4, 0, true).run().unwrap().mean_us;
+        let b = FuzzyExperiment::new(4, 0, false).run().unwrap().mean_us;
         assert!((a - b).abs() < 1e-6);
     }
 }

@@ -28,14 +28,21 @@ fn main() {
     ]);
     for grain in [25u64, 50, 100, 200, 400] {
         // Blocking: all compute, then the barrier.
-        let blocking = FuzzyExperiment::new(NODES, grain, false).run().mean_us;
+        let blocking = FuzzyExperiment::new(NODES, grain, false)
+            .run()
+            .unwrap()
+            .mean_us;
         // Fuzzy: boundary compute happens before the barrier initiation (it
         // produces the halo the neighbours need); interior overlaps. We
         // model the non-overlappable boundary quarter as part of the next
         // round's critical path by overlapping only 75% of the grain.
         let interior = grain * 3 / 4;
         let boundary = grain - interior;
-        let fuzzy = FuzzyExperiment::new(NODES, interior, true).run().mean_us + boundary as f64;
+        let fuzzy = FuzzyExperiment::new(NODES, interior, true)
+            .run()
+            .unwrap()
+            .mean_us
+            + boundary as f64;
         let pure = grain as f64;
         t.row(vec![
             grain.to_string(),

@@ -108,3 +108,33 @@ fn team_label_survives_skew_and_packing() {
         .expect("packed team");
     assert_identical(&packed_global, &packed_team, "packed");
 }
+
+#[test]
+fn one_team_multitenant_run_is_the_global_barrier() {
+    // A single team spanning every node, driven through the multi-tenant
+    // machinery, is the global NIC-PE barrier: same events, same counters.
+    // The means differ at most in the last bits (a mean of gaps vs a span
+    // divided by the gap count).
+    for n in [2usize, 8, 16, 64, 256] {
+        let global = BarrierExperiment::new(n, Algorithm::Nic(Descriptor::Pe))
+            .rounds(60, 10)
+            .run()
+            .expect("global run");
+        let team = MultiTenantExperiment::new(n, 1)
+            .team_sizes(n, n)
+            .rounds(60, 10)
+            .run()
+            .expect("one-team run");
+        assert_eq!(global.events, team.events, "n={n}: event count");
+        for ((counter, g), (_, t)) in global.metrics.iter().zip(team.metrics.iter()) {
+            assert_eq!(g, t, "n={n}: {counter:?}");
+        }
+        let rel = (team.mean_us - global.mean_us).abs() / global.mean_us;
+        assert!(
+            rel <= 1e-12,
+            "n={n}: team {} vs global {} us",
+            team.mean_us,
+            global.mean_us
+        );
+    }
+}
