@@ -26,11 +26,18 @@ pub fn decode_note(tag: u64) -> Option<u64> {
     (tag & NOTE_BARRIER_DONE == NOTE_BARRIER_DONE).then_some(tag & 0xFFFF_FFFF)
 }
 
+/// Exclusive upper bound on team ids: [`note_team_tag`] keeps the id in
+/// the tag's top 16 bits.
+pub const TEAM_ID_LIMIT: u32 = 1 << 16;
+
 /// Encode a completed round of `team` as a note tag: team id in bits 48+,
 /// marker in bits 32–47, round below. [`TeamId::GLOBAL`] encodes exactly
 /// as [`note_tag`].
 pub fn note_team_tag(team: TeamId, round: u64) -> u64 {
-    debug_assert!(team.0 < 1 << 16, "team id too large for the note encoding");
+    debug_assert!(
+        team.0 < TEAM_ID_LIMIT,
+        "team id too large for the note encoding"
+    );
     ((team.0 as u64) << 48) | note_tag(round)
 }
 

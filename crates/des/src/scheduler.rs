@@ -1,40 +1,46 @@
 //! The event scheduler and simulation driver.
 //!
-//! A [`Scheduler`] is a priority queue of `(time, seq, event)` entries. The
-//! `seq` counter makes ordering total and deterministic: events at equal
-//! timestamps fire in the order they were scheduled. A [`Simulation`] couples
-//! a scheduler with the simulated world and drives the loop.
+//! A [`Scheduler`] is a priority queue of events ordered by time, with ties
+//! broken FIFO: events at equal timestamps fire in the order they were
+//! scheduled, so ordering is total and deterministic. A [`Simulation`]
+//! couples a scheduler with the simulated world and drives the loop.
 //!
 //! # Hot path
 //!
 //! The scheduler is generic over the event type `E`. With a typed event (an
-//! enum such as the GM stack's `ClusterEvent`), entries live in a slab with
-//! an internal freelist and the ordering layer holds plain `(time, seq,
-//! slot)` index records — steady-state scheduling performs **zero heap
-//! allocations** once the slab and queues have grown to the high-water
-//! mark. The default event type [`Boxed`] wraps `Box<dyn FnOnce>` closures,
-//! which keeps `schedule_fn` ergonomics for cold paths and tests (one
-//! allocation per event, as before).
+//! enum such as the GM stack's `ClusterEvent`), payloads live in a slab with
+//! an internal freelist and the ordering layer holds plain `u32` slot
+//! indices — steady-state scheduling performs **zero heap allocations** once
+//! the slab and far heap have grown to their high-water mark. The default
+//! event type [`Boxed`] wraps `Box<dyn FnOnce>` closures, which keeps
+//! `schedule_fn` ergonomics for cold paths and tests (one allocation per
+//! event).
 //!
-//! # Ordering layer: timer wheel + far heap
+//! # Ordering layer: exact-time wheel + far heap
 //!
 //! Almost every event a cluster simulation schedules lands within a few
 //! microseconds of `now` (firmware cycles, wire hops, host overheads); only
-//! retransmission timers and horizon sentinels sit further out. The
-//! ordering layer exploits that: a **bucketed timer wheel** of
-//! [`WHEEL_SLOTS`] buckets, each [`BUCKET_NS`] wide (a ~1 ms window sliding
-//! with `now`), absorbs the near-future band with O(1) insertion, while a
-//! binary heap holds the far-future remainder. Popping compares the wheel's
-//! earliest entry with the heap's top and takes the global `(time, seq)`
-//! minimum, so the fired order is **bit-identical** to the plain-heap
-//! scheduler — ties still fire FIFO by sequence number, which the golden
-//! 310-latency gate pins exactly. An occupancy bitmap (one bit per bucket)
-//! makes the scan to the next non-empty bucket a word-wise skip, and heap
-//! entries migrate into the wheel as `now` advances so the heap stays
-//! small.
+//! retransmission timers and horizon sentinels sit further out. The near
+//! band `[now, now + WHEEL_SLOTS ns)` lives in a wheel of one-nanosecond
+//! buckets; everything later waits in a binary heap ordered by
+//! `(time, seq)`. Three invariants make the fired order identical to a
+//! single `(time, seq)` priority queue without comparing keys on the hot
+//! path (each is `debug_assert`ed):
+//!
+//! 1. **FIFO buckets.** A bucket holds one timestamp, so FIFO within a
+//!    bucket is `seq` order and insertion is an O(1) tail append.
+//! 2. **Migrate before fire.** Whenever `now` advances, far entries that
+//!    entered the window move to the wheel *before* the fired event runs, so
+//!    they precede every later same-time insert.
+//! 3. **Wheel before far.** After migration every far entry lies at or
+//!    beyond `now + WHEEL_SLOTS`, past every wheel entry, so the far heap is
+//!    consulted only when the wheel is empty.
+//!
+//! A two-level occupancy bitmap (one bit per bucket, one summary bit per
+//! word) finds the next non-empty bucket in a handful of word reads.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 
@@ -69,114 +75,74 @@ impl<W> Event<W> for Boxed<W> {
     }
 }
 
-/// Freelist sentinel: no next slot.
+/// Link sentinel: empty bucket / end of freelist.
 const NIL: u32 = u32::MAX;
 
-/// Width of one timer-wheel bucket, as a power-of-two shift of nanoseconds.
-/// 64 ns is comfortably below every modelled cost (the shortest firmware
-/// step is ~30 ns at 33 MHz, most are hundreds), so a bucket rarely holds
-/// more than a handful of events.
-const BUCKET_SHIFT: u32 = 6;
-
-/// Width of one timer-wheel bucket in nanoseconds.
-pub const BUCKET_NS: u64 = 1 << BUCKET_SHIFT;
-
-/// Number of wheel buckets (a power of two). With 64 ns buckets this spans
-/// a ~1.05 ms sliding window — orders of magnitude beyond any per-event
-/// delay in the barrier models, so in practice only retransmission timers
-/// and horizon sentinels fall through to the far heap.
-pub const WHEEL_SLOTS: usize = 1 << 14;
+/// Number of one-nanosecond wheel buckets, so also the width of the wheel
+/// window in nanoseconds (~32.8 µs). That covers every per-event delay in
+/// the barrier models; retransmission timers and horizon sentinels fall
+/// through to the far heap. The bucket tails take 128 KiB, which every
+/// `Simulation::new` initialises, so a wider window costs setup time.
+pub const WHEEL_SLOTS: usize = 1 << 15;
 
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
+const SUMMARY_WORDS: usize = BITMAP_WORDS / 64;
 
-/// What the far heap orders: time and tie-break sequence, plus the slab
-/// slot holding the event payload.
-struct HeapEntry {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
+/// A far-heap entry `(at, seq, slab slot)`, reversed so the max-heap pops
+/// the earliest `(at, seq)`; `seq` is unique, so the slot never decides.
+type FarEntry = Reverse<(SimTime, u64, u32)>;
+
+/// What one attempt to fire found.
+enum Step {
+    Fired,
+    Empty,
+    Beyond,
 }
 
-/// Where [`Scheduler::next_event`] found the earliest pending entry.
-enum Next {
-    Wheel { idx: usize },
-    Far,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+/// First set bit at or after bit `from` of `words`, wrapping around.
+fn next_set_circular(words: &[u64], from: usize) -> Option<usize> {
+    let w0 = from / 64;
+    let bits = words[w0] & (!0u64 << (from % 64));
+    if bits != 0 {
+        return Some(w0 * 64 + bits.trailing_zeros() as usize);
     }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. seq breaks ties FIFO, giving full determinism.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// An occupied slab entry: the ordering key, the intrusive chain link for
-/// wheel buckets, and the event payload. Keeping the chain link *inside*
-/// the slab means wheel buckets are plain `u32` heads and steady-state
-/// insertion/removal never allocates.
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    /// Next slot in the same wheel bucket's chain ([`NIL`] = end of chain,
-    /// or not wheel-resident).
-    next: u32,
-    event: E,
-}
-
-/// Slab storage for pending events: occupied slots hold the payload, vacant
-/// slots chain the freelist.
-enum Slot<E> {
-    Vacant { next_free: u32 },
-    Occupied(Entry<E>),
+    // The last word visited is `w0` again, whose bits at or after `from`
+    // are known clear, so its remaining bits are the wrapped-around ones.
+    (1..=words.len())
+        .map(|i| (w0 + i) % words.len())
+        .find(|&w| words[w] != 0)
+        .map(|w| w * 64 + words[w].trailing_zeros() as usize)
 }
 
 /// Priority queue of pending events plus the current virtual time.
 ///
-/// Ordering is split into a near-future timer wheel and a far-future binary
-/// heap (see the module docs); both are indexed by `(at, seq)` so the pop
-/// order is identical to a single global priority queue.
+/// Ordering is split into a near-future exact-time wheel and a far-future
+/// binary heap (see the module docs); the pop order is identical to a
+/// single `(time, seq)` priority queue.
 pub struct Scheduler<W, E: Event<W> = Boxed<W>> {
-    /// Near-future band: bucket `b` of an event at time `t` is
-    /// `t >> BUCKET_SHIFT`; `wheel[b & SLOT_MASK]` is the head slab slot of
-    /// an intrusive chain (or [`NIL`]) kept **sorted ascending by
-    /// `(at, seq)`**, so the bucket minimum is always the head. Window
-    /// invariant: every resident entry has
-    /// `bucket(now) <= b < bucket(now) + WHEEL_SLOTS`, so absolute buckets
-    /// and wheel slots are in bijection and no epoch tag is needed.
-    wheel: Vec<u32>,
-    /// Tail slot of each bucket chain ([`NIL`] when empty). Barrier rounds
-    /// schedule bursts of same-timestamp events in ascending `seq` order;
-    /// comparing against the tail first makes those appends O(1) instead of
-    /// an O(k) insertion scan.
-    wheel_tail: Vec<u32>,
-    /// One bit per wheel slot: set iff the bucket is non-empty. Lets the
-    /// min-scan skip 64 empty buckets per word.
+    /// Per bucket, the tail slot of a circular FIFO (`links[tail]` is the
+    /// head), or [`NIL`] when empty. Bucket of time `t` is
+    /// `t & SLOT_MASK`; every wheel entry lies in `[now, now + WHEEL_SLOTS)`,
+    /// so buckets and timestamps are in bijection.
+    tail: Vec<u32>,
+    /// One bit per bucket: set iff it is non-empty.
     occupancy: Vec<u64>,
+    /// One bit per `occupancy` word: set iff that word is non-zero.
+    summary: [u64; SUMMARY_WORDS],
     /// Number of entries resident in the wheel.
     wheel_len: usize,
-    /// Lower bound on the smallest absolute bucket of any wheel entry; only
-    /// ever lowered by `schedule` and raised by `step`, so scans resume
-    /// where the last one left off instead of rescanning from `now`.
-    scan_bucket: u64,
-    /// Far-future band: everything at or beyond the wheel window.
-    far: BinaryHeap<HeapEntry>,
-    slots: Vec<Slot<E>>,
+    /// Far-future band: everything at or beyond `now + WHEEL_SLOTS`.
+    far: BinaryHeap<FarEntry>,
+    /// Tie-break sequence for far entries.
+    far_seq: u64,
+    /// Event payloads by slab slot; `None` when the slot is free.
+    events: Vec<Option<E>>,
+    /// Per slot: the next slot in its bucket's circular chain while queued
+    /// in the wheel, the next free slot while free.
+    links: Vec<u32>,
     free_head: u32,
     now: SimTime,
-    seq: u64,
     fired: u64,
     _world: PhantomData<fn(&mut W)>,
 }
@@ -191,25 +157,19 @@ impl<W, E: Event<W>> Scheduler<W, E> {
     /// An empty scheduler at time zero.
     pub fn new() -> Self {
         Scheduler {
-            wheel: vec![NIL; WHEEL_SLOTS],
-            wheel_tail: vec![NIL; WHEEL_SLOTS],
+            tail: vec![NIL; WHEEL_SLOTS],
             occupancy: vec![0; BITMAP_WORDS],
+            summary: [0; SUMMARY_WORDS],
             wheel_len: 0,
-            scan_bucket: 0,
             far: BinaryHeap::new(),
-            slots: Vec::new(),
+            far_seq: 0,
+            events: Vec::new(),
+            links: Vec::new(),
             free_head: NIL,
             now: SimTime::ZERO,
-            seq: 0,
             fired: 0,
             _world: PhantomData,
         }
-    }
-
-    /// Absolute bucket index of a timestamp.
-    #[inline]
-    fn bucket_of(at: SimTime) -> u64 {
-        at.as_ns() >> BUCKET_SHIFT
     }
 
     /// Current virtual time.
@@ -231,172 +191,100 @@ impl<W, E: Event<W>> Scheduler<W, E> {
     }
 
     /// Timestamp of the earliest pending event, if any.
-    #[inline]
     pub fn peek_next_at(&self) -> Option<SimTime> {
-        self.next_event().map(|(at, _, _)| at)
-    }
-
-    /// The occupied entry at `slot`; chains only ever link occupied slots.
-    #[inline]
-    fn entry(&self, slot: u32) -> &Entry<E> {
-        match &self.slots[slot as usize] {
-            Slot::Occupied(e) => e,
-            Slot::Vacant { .. } => unreachable!("chained slot is vacant"),
-        }
-    }
-
-    /// Earliest wheel entry at or after absolute bucket `start`, as
-    /// `(abs_bucket, at, seq)` — the head of the first occupied bucket,
-    /// since chains are sorted. Correctness of scanning in slot order:
-    /// `start >= bucket(now)` and every resident bucket lies in
-    /// `[start, start + WHEEL_SLOTS)` (window invariant plus the
-    /// `scan_bucket` lower bound), so slot order from `start` is absolute
-    /// bucket order.
-    fn wheel_min_from(&self, start: u64) -> Option<(u64, SimTime, u64)> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let idx0 = (start & SLOT_MASK) as usize;
-        let mut word_i = idx0 / 64;
-        // Absolute bucket corresponding to bit 0 of the current word.
-        let mut word_base = start - (idx0 % 64) as u64;
-        let mut masked = self.occupancy[word_i] & (!0u64 << (idx0 % 64));
-        for _ in 0..=BITMAP_WORDS {
-            if masked != 0 {
-                let bucket = word_base + masked.trailing_zeros() as u64;
-                let idx = (bucket & SLOT_MASK) as usize;
-                let head = self.wheel[idx];
-                debug_assert!(head != NIL, "occupancy bit set on empty bucket");
-                let e = self.entry(head);
-                return Some((bucket, e.at, e.seq));
-            }
-            word_base += 64;
-            word_i = (word_i + 1) % BITMAP_WORDS;
-            masked = self.occupancy[word_i];
-        }
-        unreachable!("wheel_len > 0 but no occupied bucket within the window")
-    }
-
-    /// Global earliest pending entry by `(at, seq)` across wheel and far
-    /// heap — the same total order a single priority queue would give.
-    fn next_event(&self) -> Option<(SimTime, u64, Next)> {
-        let start = self.scan_bucket.max(Self::bucket_of(self.now));
-        let wheel = self.wheel_min_from(start).map(|(bucket, at, seq)| {
-            (
-                at,
-                seq,
-                Next::Wheel {
-                    idx: (bucket & SLOT_MASK) as usize,
-                },
-            )
-        });
-        let far = self.far.peek().map(|e| (e.at, e.seq, Next::Far));
-        match (wheel, far) {
-            (None, None) => None,
-            (Some(w), None) => Some(w),
-            (None, Some(f)) => Some(f),
-            (Some(w), Some(f)) => Some(if (w.0, w.1) <= (f.0, f.1) { w } else { f }),
-        }
-    }
-
-    /// Rewrite the chain link of an occupied slot.
-    #[inline]
-    fn set_next(&mut self, slot: u32, next: u32) {
-        match &mut self.slots[slot as usize] {
-            Slot::Occupied(e) => e.next = next,
-            Slot::Vacant { .. } => unreachable!("chained slot is vacant"),
-        }
-    }
-
-    /// Link an occupied slab slot into its wheel bucket, keeping the chain
-    /// sorted ascending by `(at, seq)` and maintaining the occupancy
-    /// bitmap, length, and `scan_bucket` bound. The tail comparison makes
-    /// the dominant pattern — a burst of same-timestamp events arriving in
-    /// ascending `seq` order — an O(1) append; only genuinely out-of-order
-    /// keys pay an insertion scan.
-    fn push_wheel(&mut self, slot: u32) {
-        let (at, seq) = {
-            let e = self.entry(slot);
-            (e.at, e.seq)
-        };
-        let bucket = Self::bucket_of(at);
-        let idx = (bucket & SLOT_MASK) as usize;
-        let head = self.wheel[idx];
-        if head == NIL {
-            self.set_next(slot, NIL);
-            self.wheel[idx] = slot;
-            self.wheel_tail[idx] = slot;
-            self.occupancy[idx / 64] |= 1 << (idx % 64);
-        } else {
-            let tail = self.wheel_tail[idx];
-            let te = self.entry(tail);
-            if (at, seq) > (te.at, te.seq) {
-                self.set_next(slot, NIL);
-                self.set_next(tail, slot);
-                self.wheel_tail[idx] = slot;
-            } else {
-                let he = self.entry(head);
-                if (at, seq) < (he.at, he.seq) {
-                    self.set_next(slot, head);
-                    self.wheel[idx] = slot;
-                } else {
-                    // Insert mid-chain: find the last node below the new
-                    // key. Terminates before the tail, whose key is above.
-                    let mut prev = head;
-                    loop {
-                        let next = self.entry(prev).next;
-                        debug_assert!(next != NIL, "insertion scan ran off the chain");
-                        let ne = self.entry(next);
-                        if (ne.at, ne.seq) > (at, seq) {
-                            self.set_next(slot, next);
-                            self.set_next(prev, slot);
-                            break;
-                        }
-                        prev = next;
-                    }
-                }
-            }
-        }
-        self.wheel_len += 1;
-        if bucket < self.scan_bucket {
-            self.scan_bucket = bucket;
-        }
-    }
-
-    /// Pop the head (minimum) of bucket `idx` and return its slab slot.
-    #[inline]
-    fn pop_wheel_head(&mut self, idx: usize) -> u32 {
-        let head = self.wheel[idx];
-        debug_assert!(head != NIL, "popping an empty bucket");
-        let next = self.entry(head).next;
-        self.wheel[idx] = next;
-        if next == NIL {
-            self.wheel_tail[idx] = NIL;
-            self.occupancy[idx / 64] &= !(1u64 << (idx % 64));
-        }
-        self.wheel_len -= 1;
-        head
-    }
-
-    /// Pull far-heap entries whose bucket has slid into the wheel window.
-    /// Purely an optimisation: `next_event` is correct wherever an entry
-    /// lives, this just keeps the heap small and pops O(1).
-    fn migrate_far(&mut self) {
-        let now_bucket = Self::bucket_of(self.now);
-        while let Some(top) = self.far.peek() {
-            if Self::bucket_of(top.at) - now_bucket < WHEEL_SLOTS as u64 {
-                let e = self.far.pop().expect("peeked entry vanished");
-                self.push_wheel(e.slot);
-            } else {
-                break;
-            }
+        match self.first_bucket() {
+            Some(idx) => Some(self.bucket_time(idx)),
+            None => self.far.peek().map(|&Reverse((at, _, _))| at),
         }
     }
 
     /// Slab capacity (high-water mark of simultaneously pending events) —
     /// instrumentation for allocation tests.
     pub fn slab_capacity(&self) -> usize {
-        self.slots.len()
+        self.events.len()
+    }
+
+    /// The earliest non-empty bucket: the first occupied one at or after
+    /// `now`'s bucket in circular order, which is time order because the
+    /// wheel spans exactly one window from `now`.
+    #[inline]
+    fn first_bucket(&self) -> Option<usize> {
+        if self.wheel_len == 0 {
+            return None;
+        }
+        let start = (self.now.as_ns() & SLOT_MASK) as usize;
+        let w0 = start / 64;
+        let bits = self.occupancy[w0] & (!0u64 << (start % 64));
+        let (w, bits) = if bits != 0 {
+            (w0, bits)
+        } else {
+            let w = next_set_circular(&self.summary, (w0 + 1) % BITMAP_WORDS)
+                .expect("wheel_len > 0 but the summary bitmap is empty");
+            (w, self.occupancy[w])
+        };
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The timestamp held by wheel bucket `idx`.
+    #[inline]
+    fn bucket_time(&self, idx: usize) -> SimTime {
+        let now = self.now.as_ns();
+        SimTime::from_ns(now + ((idx as u64).wrapping_sub(now) & SLOT_MASK))
+    }
+
+    /// Append slab slot `slot`, due at `at`, to the tail of its bucket.
+    #[inline]
+    fn push_wheel(&mut self, slot: u32, at: SimTime) {
+        debug_assert!(
+            at.as_ns() - self.now.as_ns() < WHEEL_SLOTS as u64,
+            "wheel entry outside the window"
+        );
+        let idx = (at.as_ns() & SLOT_MASK) as usize;
+        let tail = self.tail[idx];
+        if tail == NIL {
+            self.links[slot as usize] = slot;
+            self.occupancy[idx / 64] |= 1 << (idx % 64);
+            self.summary[idx / 4096] |= 1 << (idx / 64 % 64);
+        } else {
+            self.links[slot as usize] = self.links[tail as usize];
+            self.links[tail as usize] = slot;
+        }
+        self.tail[idx] = slot;
+        self.wheel_len += 1;
+    }
+
+    /// Unlink and return the head slot of non-empty bucket `idx`.
+    #[inline]
+    fn pop_wheel(&mut self, idx: usize) -> u32 {
+        let tail = self.tail[idx];
+        debug_assert!(tail != NIL, "popping an empty bucket");
+        let head = self.links[tail as usize];
+        if head == tail {
+            self.tail[idx] = NIL;
+            let w = idx / 64;
+            self.occupancy[w] &= !(1 << (idx % 64));
+            if self.occupancy[w] == 0 {
+                self.summary[w / 64] &= !(1 << (w % 64));
+            }
+        } else {
+            self.links[tail as usize] = self.links[head as usize];
+        }
+        self.wheel_len -= 1;
+        head
+    }
+
+    /// Move far entries that `now` has brought into the window to the
+    /// wheel, earliest `(at, seq)` first, so same-time entries stay FIFO.
+    fn migrate_far(&mut self) {
+        let now = self.now.as_ns();
+        while self
+            .far
+            .peek()
+            .is_some_and(|&Reverse((at, _, _))| at.as_ns() - now < WHEEL_SLOTS as u64)
+        {
+            let Reverse((at, _, slot)) = self.far.pop().expect("peeked entry vanished");
+            self.push_wheel(slot, at);
+        }
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -410,32 +298,23 @@ impl<W, E: Event<W>> Scheduler<W, E> {
             "event scheduled in the past: at={at:?} now={:?}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        let occupied = Slot::Occupied(Entry {
-            at,
-            seq,
-            next: NIL,
-            event,
-        });
         let slot = if self.free_head == NIL {
-            debug_assert!(self.slots.len() < NIL as usize, "slab full");
-            self.slots.push(occupied);
-            (self.slots.len() - 1) as u32
+            debug_assert!(self.events.len() < NIL as usize, "slab full");
+            self.events.push(Some(event));
+            self.links.push(NIL);
+            (self.events.len() - 1) as u32
         } else {
             let slot = self.free_head;
-            match std::mem::replace(&mut self.slots[slot as usize], occupied) {
-                Slot::Vacant { next_free } => self.free_head = next_free,
-                Slot::Occupied(_) => unreachable!("freelist head was occupied"),
-            }
+            self.free_head = self.links[slot as usize];
+            self.events[slot as usize] = Some(event);
             slot
         };
-        // `at >= now` (asserted above), so the bucket difference cannot
-        // underflow; within the window it goes to the wheel, else far.
-        if Self::bucket_of(at) - Self::bucket_of(self.now) < WHEEL_SLOTS as u64 {
-            self.push_wheel(slot);
+        if at.as_ns() - self.now.as_ns() < WHEEL_SLOTS as u64 {
+            self.push_wheel(slot, at);
         } else {
-            self.far.push(HeapEntry { at, seq, slot });
+            let seq = self.far_seq;
+            self.far_seq += 1;
+            self.far.push(Reverse((at, seq, slot)));
         }
     }
 
@@ -468,40 +347,45 @@ impl<W, E: Event<W>> Scheduler<W, E> {
     /// Pop and fire the earliest event against `world`. Returns `false` when
     /// the queue is empty.
     pub fn step(&mut self, world: &mut W) -> bool {
-        let (at, slot) = match self.next_event() {
-            None => return false,
-            Some((at, seq, src)) => {
-                let slot = match src {
-                    Next::Wheel { idx } => {
-                        let slot = self.pop_wheel_head(idx);
-                        debug_assert_eq!(self.entry(slot).seq, seq, "head is not the peeked min");
-                        slot
-                    }
-                    Next::Far => self.far.pop().expect("peeked entry vanished").slot,
-                };
-                (at, slot)
+        matches!(self.step_until(world, SimTime::MAX), Step::Fired)
+    }
+
+    /// Pop and fire the earliest event if it is due at or before `horizon`;
+    /// one bucket lookup per fired event.
+    fn step_until(&mut self, world: &mut W, horizon: SimTime) -> Step {
+        let (at, slot) = if let Some(idx) = self.first_bucket() {
+            let at = self.bucket_time(idx);
+            if at > horizon {
+                return Step::Beyond;
             }
+            (at, self.pop_wheel(idx))
+        } else {
+            let Some(&Reverse((at, _, slot))) = self.far.peek() else {
+                return Step::Empty;
+            };
+            if at > horizon {
+                return Step::Beyond;
+            }
+            self.far.pop();
+            (at, slot)
         };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        // Everything strictly before this event's bucket is empty now
-        // (it was the global minimum), so the scan hint may jump forward.
-        let bucket = Self::bucket_of(at);
-        if bucket > self.scan_bucket {
-            self.scan_bucket = bucket;
-        }
         self.fired += 1;
         self.migrate_far();
-        let freed = Slot::Vacant {
-            next_free: self.free_head,
-        };
-        let event = match std::mem::replace(&mut self.slots[slot as usize], freed) {
-            Slot::Occupied(e) => e.event,
-            Slot::Vacant { .. } => unreachable!("queue entry pointed at a vacant slot"),
-        };
+        debug_assert!(
+            self.far
+                .peek()
+                .is_none_or(|&Reverse((t, _, _))| t.as_ns() - at.as_ns() >= WHEEL_SLOTS as u64),
+            "far entry inside the window after migration"
+        );
+        let event = self.events[slot as usize]
+            .take()
+            .expect("queued slot holds no event");
+        self.links[slot as usize] = self.free_head;
         self.free_head = slot;
         event.fire(world, self);
-        true
+        Step::Fired
     }
 }
 
@@ -586,12 +470,10 @@ impl<W, E: Event<W>> Simulation<W, E> {
             if self.sched.fired() >= self.budget {
                 return RunOutcome::BudgetExhausted;
             }
-            match self.sched.peek_next_at() {
-                None => return RunOutcome::Quiescent,
-                Some(at) if at > horizon => return RunOutcome::HorizonReached,
-                Some(_) => {
-                    self.sched.step(&mut self.world);
-                }
+            match self.sched.step_until(&mut self.world, horizon) {
+                Step::Fired => {}
+                Step::Empty => return RunOutcome::Quiescent,
+                Step::Beyond => return RunOutcome::HorizonReached,
             }
         }
     }
@@ -765,7 +647,7 @@ mod tests {
     fn far_future_events_fire_in_order() {
         // Events beyond the wheel window land in the far heap; they must
         // still interleave correctly with near-future events.
-        let window = SimTime::from_ns(BUCKET_NS * WHEEL_SLOTS as u64);
+        let window = SimTime::from_ns(WHEEL_SLOTS as u64);
         let mut sim: Simulation<Vec<u32>> = Simulation::new(Vec::new());
         let s = sim.scheduler_mut();
         s.schedule_fn(window * 3, |w: &mut Vec<u32>, _| w.push(4));
@@ -783,7 +665,7 @@ mod tests {
         // First event scheduled while T is beyond the window (far heap),
         // second scheduled for the same T after the clock has advanced
         // enough that T is wheel-resident. FIFO by seq must still hold.
-        let window = SimTime::from_ns(BUCKET_NS * WHEEL_SLOTS as u64);
+        let window = SimTime::from_ns(WHEEL_SLOTS as u64);
         let t = window * 2;
         let mut sim: Simulation<Vec<u32>> = Simulation::new(Vec::new());
         let s = sim.scheduler_mut();
@@ -825,7 +707,7 @@ mod tests {
 
     #[test]
     fn pending_counts_both_bands() {
-        let window = SimTime::from_ns(BUCKET_NS * WHEEL_SLOTS as u64);
+        let window = SimTime::from_ns(WHEEL_SLOTS as u64);
         let mut sim: Simulation<()> = Simulation::new(());
         let s = sim.scheduler_mut();
         s.schedule_fn(SimTime::from_ns(10), |_, _| {});

@@ -1,8 +1,12 @@
 //! Randomized property tests for the DES engine: event ordering, statistics
-//! merging, RNG determinism, and typed-slab/boxed-closure equivalence.
+//! merging, RNG determinism, typed-slab/boxed-closure equivalence, and the
+//! wheel + far-heap scheduler against a binary-heap oracle.
 
 use gmsim_des::check::forall;
-use gmsim_des::{BoxedFn, Event, Scheduler, SimRng, SimTime, Simulation, Summary};
+use gmsim_des::scheduler::WHEEL_SLOTS;
+use gmsim_des::{BoxedFn, Event, RunOutcome, Scheduler, SimRng, SimTime, Simulation, Summary};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Events fire in nondecreasing time order, with FIFO order at equal
 /// timestamps, for arbitrary schedules.
@@ -293,4 +297,183 @@ fn typed_fifo_ties_survive_slot_reuse() {
         // mark of simultaneously pending events.
         assert!(sim.scheduler_mut().slab_capacity() <= wave1.len() + wave2.len());
     });
+}
+
+/// The wheel window in nanoseconds: events at least this far ahead of `now`
+/// wait in the far heap.
+const W: u64 = WHEEL_SLOTS as u64;
+
+/// One fired event of the differential workload: `(fire time in ns, id,
+/// scheduled at least one window ahead)`.
+type Fired = (u64, u64, bool);
+
+/// One follow-up delay, biased to the scheduler's edge cases: zero (a tie
+/// with the firing event's time), both sides of the window edge, up to three
+/// windows ahead, and targets on a coarse grid, so that events scheduled from
+/// different times — some a window or more ahead, some not — tie exactly.
+fn follow_up_delay(rng: &mut SimRng, now: u64) -> u64 {
+    match rng.below(9) {
+        0 => 0,
+        1 => W - 1,
+        2 => W,
+        3 => W + 1,
+        4 => rng.below(64),
+        5 => rng.below(3 * W + 1),
+        6 => 3 * W,
+        _ => (now + rng.below(2 * W)).next_multiple_of(W / 8) - now,
+    }
+}
+
+/// The follow-ups that event `id` at `depth`, firing at `now`, schedules as
+/// `(delay, child id)`: a pure function of its arguments, so the scheduler
+/// under test and the oracle grow the same tree as long as they fire in the
+/// same order. One event in ten schedules an equal-timestamp burst.
+fn follow_ups(seed: u64, id: u64, depth: u32, now: u64) -> Vec<(u64, u64)> {
+    if depth >= 5 {
+        return Vec::new();
+    }
+    let mut rng = SimRng::new(seed ^ id);
+    let (count, burst) = match rng.below(10) {
+        0..=2 => (0, false),
+        3..=6 => (1, false),
+        7 | 8 => (2, false),
+        _ => (3 + rng.below(6), true),
+    };
+    let shared = follow_up_delay(&mut rng, now);
+    (0..count)
+        .map(|_| {
+            let delay = if burst {
+                shared
+            } else {
+                follow_up_delay(&mut rng, now)
+            };
+            (delay, rng.next())
+        })
+        .collect()
+}
+
+struct DiffWorld {
+    seed: u64,
+    fired: Vec<Fired>,
+    /// Events scheduled so far, roots included.
+    scheduled: u64,
+}
+
+struct Node {
+    id: u64,
+    depth: u32,
+    far: bool,
+}
+
+impl Event<DiffWorld> for Node {
+    fn fire(self, world: &mut DiffWorld, sched: &mut Scheduler<DiffWorld, Node>) {
+        let now = sched.now().as_ns();
+        world.fired.push((now, self.id, self.far));
+        for (delay, id) in follow_ups(world.seed, self.id, self.depth, now) {
+            let child = Node {
+                id,
+                depth: self.depth + 1,
+                far: delay >= W,
+            };
+            sched.schedule_after(SimTime::from_ns(delay), child);
+            world.scheduled += 1;
+        }
+    }
+    fn from_boxed(_: BoxedFn<DiffWorld, Node>) -> Self {
+        unreachable!("the differential workload never schedules closures")
+    }
+}
+
+/// The reference order: one binary heap keyed by `(time, seq)`.
+fn oracle_order(seed: u64, roots: &[(u64, u64)]) -> Vec<Fired> {
+    let mut heap = BinaryHeap::new();
+    let mut seq = 0u64;
+    for &(at, id) in roots {
+        heap.push(Reverse((at, seq, id, 0, at >= W)));
+        seq += 1;
+    }
+    let mut fired = Vec::new();
+    while let Some(Reverse((now, _, id, depth, far))) = heap.pop() {
+        fired.push((now, id, far));
+        for (delay, child) in follow_ups(seed, id, depth, now) {
+            heap.push(Reverse((now + delay, seq, child, depth + 1, delay >= W)));
+            seq += 1;
+        }
+    }
+    fired
+}
+
+/// Differential check of the scheduler against a `BinaryHeap<(at, seq)>`
+/// oracle: nested scheduling with delays from 0 to three windows, bursts
+/// of equal timestamps, inserts at exactly `now + W - 1` and `now + W`,
+/// far-heap entries tying with later direct wheel inserts after migration,
+/// many wheel wrap-arounds, and `run_until` horizons that stop with events
+/// still queued. Every prefix and the full fire order must match exactly.
+#[test]
+fn scheduler_matches_a_binary_heap_oracle() {
+    let mut migration_ties = 0usize;
+    let mut stops_with_pending = 0usize;
+    forall(256, 0xDE5_0008, |g| {
+        let seed = g.any_u64();
+        let roots: Vec<(u64, u64)> = g.vec_of(1, 40, |g| {
+            let at = if g.chance(0.25) {
+                [0, W - 1, W, 2 * W][g.usize_in(0, 3)]
+            } else {
+                g.u64_in(0, 3 * W)
+            };
+            (at, g.any_u64())
+        });
+        let mut horizons = g.vec_of(0, 4, |g| g.u64_in(0, 8 * W));
+        horizons.sort_unstable();
+        let expected = oracle_order(seed, &roots);
+        migration_ties += expected
+            .windows(2)
+            .filter(|p| p[0].0 == p[1].0 && p[0].2 && !p[1].2)
+            .count();
+
+        let mut sim: Simulation<DiffWorld, Node> = Simulation::new(DiffWorld {
+            seed,
+            fired: Vec::new(),
+            scheduled: roots.len() as u64,
+        });
+        for &(at, id) in &roots {
+            let root = Node {
+                id,
+                depth: 0,
+                far: at >= W,
+            };
+            sim.scheduler_mut().schedule(SimTime::from_ns(at), root);
+        }
+        for &h in &horizons {
+            let outcome = sim.run_until(SimTime::from_ns(h));
+            let done = sim.world().fired.len();
+            assert_eq!(sim.world().fired[..], expected[..done], "order before {h}");
+            let next = expected.get(done).map(|e| e.0);
+            assert!(next.is_none_or(|at| at > h), "stopped early at {h}");
+            assert!(sim.now().as_ns() <= h, "clock passed the horizon");
+            let want = if next.is_some() {
+                RunOutcome::HorizonReached
+            } else {
+                RunOutcome::Quiescent
+            };
+            assert_eq!(outcome, want);
+            let queued = sim.world().scheduled - sim.events_fired();
+            let s = sim.scheduler_mut();
+            assert_eq!(s.peek_next_at(), next.map(SimTime::from_ns));
+            assert_eq!(s.pending() as u64, queued);
+            stops_with_pending += usize::from(next.is_some());
+        }
+        assert_eq!(sim.run(), RunOutcome::Quiescent);
+        assert_eq!(sim.world().fired, expected, "full fire order");
+        assert_eq!(sim.scheduler_mut().pending(), 0);
+    });
+    // The workload really reaches the cases it is built for.
+    assert!(
+        migration_ties >= 100,
+        "only {migration_ties} far-to-wheel ties"
+    );
+    assert!(
+        stops_with_pending >= 100,
+        "only {stops_with_pending} early stops"
+    );
 }

@@ -10,7 +10,9 @@ use gmsim_gm::{GlobalPort, GmConfig, GmEvent, HostCtx, HostProgram};
 use gmsim_lanai::NicModel;
 use gmsim_myrinet::{FabricSpec, FaultPlan, RoutePolicy};
 use nic_barrier::nic::{TURNAROUND_BINS, TURNAROUND_BIN_US};
-use nic_barrier::programs::{decode_team_note, MultiTeamBarrierLoop, NicBarrierLoop};
+use nic_barrier::programs::{
+    decode_team_note, MultiTeamBarrierLoop, NicBarrierLoop, TEAM_ID_LIMIT,
+};
 use nic_barrier::{
     BarrierCosts, BarrierExtension, BarrierGroup, Descriptor, DescriptorError, HostBarrierLoop,
     Team, TeamId,
@@ -160,6 +162,12 @@ pub enum ExperimentError {
         /// Available nodes.
         nodes: usize,
     },
+    /// A team id at or above [`TEAM_ID_LIMIT`]: completion notes carry the
+    /// id in 16 bits, so a larger one would alias another team's rounds.
+    TeamIdTooLarge {
+        /// The offending id (for a multi-tenant run, the largest it assigns).
+        team: u64,
+    },
     /// An explicit fabric too small for the cluster: the spec attaches
     /// fewer hosts than the experiment needs nodes.
     FabricTooSmall {
@@ -217,6 +225,10 @@ impl fmt::Display for ExperimentError {
             ExperimentError::InvalidTeamSizes { min, max, nodes } => write!(
                 f,
                 "team sizes {min}..={max} invalid for {nodes} nodes (need 2 <= min <= max <= nodes)"
+            ),
+            ExperimentError::TeamIdTooLarge { team } => write!(
+                f,
+                "team id {team} does not fit the 16-bit note encoding (need < {TEAM_ID_LIMIT})"
             ),
             ExperimentError::FabricTooSmall { capacity, nodes } => write!(
                 f,
@@ -616,6 +628,11 @@ impl BarrierExperiment {
         if self.send_tokens == Some(0) {
             return Err(ExperimentError::ZeroSendTokens);
         }
+        if self.team.0 >= TEAM_ID_LIMIT {
+            return Err(ExperimentError::TeamIdTooLarge {
+                team: self.team.0.into(),
+            });
+        }
         let nodes = self.node_count();
         if self.fabric.host_capacity(nodes) < nodes {
             return Err(ExperimentError::FabricTooSmall {
@@ -929,6 +946,12 @@ impl MultiTenantExperiment {
                 min: self.min_team,
                 max: self.max_team,
                 nodes: self.nodes,
+            });
+        }
+        // Team `i` gets id `1 + i`, so the largest id is `teams`.
+        if self.teams >= TEAM_ID_LIMIT as usize {
+            return Err(ExperimentError::TeamIdTooLarge {
+                team: self.teams as u64,
             });
         }
         Ok(())
@@ -1412,6 +1435,22 @@ mod tests {
                 max: 9,
                 nodes: 4
             }
+        );
+    }
+
+    #[test]
+    fn team_ids_beyond_the_note_encoding_are_rejected() {
+        use ExperimentError as E;
+        let barrier = quick(4, Algorithm::Nic(Descriptor::Pe));
+        assert_eq!(barrier.team(TeamId(0xFFFF)).validate(), Ok(()));
+        let err = barrier.team(TeamId(1 << 16)).run().unwrap_err();
+        assert_eq!(err, E::TeamIdTooLarge { team: 1 << 16 });
+        assert!(err.to_string().contains("65536"), "{err}");
+        // Team `i` is labelled `1 + i`: 65535 teams fit, 65536 do not.
+        assert_eq!(MultiTenantExperiment::new(4, 0xFFFF).validate(), Ok(()));
+        assert_eq!(
+            MultiTenantExperiment::new(4, 1 << 16).validate(),
+            Err(E::TeamIdTooLarge { team: 1 << 16 })
         );
     }
 
